@@ -74,22 +74,23 @@ bench-fused:
 
 # Reconfiguration-storm gate: a sharded switch forwards through ~170
 # edit commits/s on the epoch-versioned store; BENCH_reconfig.json pins
-# drops and stall_us at exactly 0 (strict zero invariants) plus the usual
-# allocs/ns bounds. Fixed iteration count so applies-per-run — and with
+# drops at exactly 0 (strict zero invariant) plus the usual allocs/ns
+# bounds. That no packet ever waits on a reconfiguration is asserted by
+# TestForwardingNeverWaitsOnReconfig. Fixed iteration count so applies-per-run — and with
 # it the alloc amortization — is identical on every host.
 bench-reconfig:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
 	$(GO) test ./internal/ipbm/ -run xxx -bench BenchmarkReconfigStormHitless -benchmem -benchtime=50000x -count=3 \
 		| bin/benchgate -check BENCH_reconfig.json -tol $(BENCH_TOL)
 
-# Record the reconfig-storm baseline. The drain-mode comparison run
-# (BenchmarkReconfigStormDrain) is reported but deliberately not gated:
-# its stall time is real and nonzero, so pinning it would flake.
+# Record the reconfig-storm baseline. The drain-and-swap comparison row
+# is gone with the drain path; internal/pisa's full reload is the
+# draining baseline.
 bench-reconfig-baseline:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
 	$(GO) test ./internal/ipbm/ -run xxx -bench BenchmarkReconfigStormHitless -benchmem -benchtime=50000x -count=5 \
 		| bin/benchgate -write BENCH_reconfig.json \
-		-note "50000 frames/run; drops and stall_us are strict zero invariants of the hitless path"
+		-note "50000 frames/run; drops is a strict zero invariant of the hitless path"
 
 # Flow-accounting benchmarks gated against BENCH_flow.json: the isolated
 # Touch/Finish engine cost plus the hot path with accounting ablated

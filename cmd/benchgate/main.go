@@ -195,13 +195,23 @@ func checkBaseline(w io.Writer, base Baseline, current map[string]Result, tol fl
 			failures++
 		}
 		for _, key := range sortedKeys(want.Extra) {
+			v, ok := got.Extra[key]
+			if !ok {
+				// An unreported metric would otherwise read as 0 and pass
+				// a zero invariant vacuously.
+				status = "FAIL"
+				fmt.Fprintf(w, "FAIL %s: baseline metric %s missing from this run (re-record the baseline with -write if it was removed)\n",
+					name, key)
+				failures++
+				continue
+			}
 			if want.Extra[key] != 0 {
 				continue // nonzero custom metrics are informational
 			}
-			if got.Extra[key] != 0 {
+			if v != 0 {
 				status = "FAIL"
 				fmt.Fprintf(w, "FAIL %s: %s %.1f violates the baseline's zero invariant\n",
-					name, key, got.Extra[key])
+					name, key, v)
 				failures++
 			}
 		}

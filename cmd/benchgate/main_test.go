@@ -65,15 +65,19 @@ func TestCheckBaselineThresholds(t *testing.T) {
 	base := Baseline{Benchmarks: map[string]Result{
 		"BenchmarkA": {NsOp: 1000, AllocsOp: 0, Extra: map[string]float64{"drops": 0}},
 	}}
+	zeroDrops := map[string]float64{"drops": 0}
 	cases := []struct {
 		name     string
 		current  Result
 		failures int
 	}{
-		{"within-bounds", Result{NsOp: 2500}, 0},
-		{"ns-over-tol", Result{NsOp: 3500}, 1},
-		{"alloc-regression", Result{NsOp: 1000, AllocsOp: 1}, 1},
+		{"within-bounds", Result{NsOp: 2500, Extra: zeroDrops}, 0},
+		{"ns-over-tol", Result{NsOp: 3500, Extra: zeroDrops}, 1},
+		{"alloc-regression", Result{NsOp: 1000, AllocsOp: 1, Extra: zeroDrops}, 1},
 		{"zero-invariant", Result{NsOp: 1000, Extra: map[string]float64{"drops": 3}}, 1},
+		// A zero-invariant metric the run no longer reports must not
+		// pass as an implicit 0.
+		{"extra-missing", Result{NsOp: 1000}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

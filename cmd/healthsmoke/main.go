@@ -163,9 +163,9 @@ func run(testdata string, logger *slog.Logger) error {
 		return fmt.Errorf("state under traffic: got %q (%s), want healthy", st.State, st.Reason)
 	}
 
-	// Drive a real in-situ update (add ACL) over the CCM; the
-	// drain-and-swap must complete, land in the audit trail, and leave
-	// the switch healthy.
+	// Drive a real in-situ update (add ACL) over the CCM; the epoch
+	// publish must complete, land in the audit trail, and leave the
+	// switch healthy.
 	script, err := os.ReadFile(filepath.Join(testdata, "acl.script"))
 	if err != nil {
 		return err

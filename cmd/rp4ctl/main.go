@@ -135,9 +135,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("processed=%d dropped=%d to_cpu=%d active_tsps=%d template_loads=%d stall=%.3fms\n",
-			st.Processed, st.Dropped, st.ToCPU, st.ActiveTSPs, st.TemplateLoads,
-			float64(st.StallNanos)/1e6)
+		fmt.Printf("processed=%d dropped=%d to_cpu=%d active_tsps=%d template_loads=%d\n",
+			st.Processed, st.Dropped, st.ToCPU, st.ActiveTSPs, st.TemplateLoads)
 		for _, p := range st.Ports {
 			fmt.Printf("port %-3d rx=%-8d tx=%-8d rx_drops=%-6d tx_drops=%d\n",
 				p.Port, p.Received, p.Sent, p.RxDrops, p.TxDrops)
@@ -354,11 +353,6 @@ func main() {
 			if ev.StagesRecompiled > 0 || ev.StagesReused > 0 {
 				line += fmt.Sprintf(" stages=%d+%d_reused", ev.StagesRecompiled, ev.StagesReused)
 			}
-			if ev.Hitless {
-				line += " hitless"
-			} else if ev.DrainNanos > 0 {
-				line += fmt.Sprintf(" drain=%.3fms", float64(ev.DrainNanos)/1e6)
-			}
 			if ev.InFlight > 0 {
 				line += fmt.Sprintf(" in_flight=%d", ev.InFlight)
 			}
@@ -488,17 +482,16 @@ func main() {
 	}
 }
 
-// printApply renders apply/commit stats: epoch bookkeeping on the
-// hitless path, load (drain) time on the legacy path.
+// printApply renders apply/commit stats, with the epoch bookkeeping of
+// devices that publish into a versioned program store (ipbm).
 func printApply(st *ctrlplane.ApplyStats) {
 	line := fmt.Sprintf("applied: full=%v tsps_written=%d tables +%d -%d",
 		st.Full, st.TSPsWritten, st.TablesCreated, st.TablesDropped)
-	if st.Hitless {
-		line += fmt.Sprintf(" epoch=%d stages=%d+%d_reused hitless load=%.2fms",
-			st.Epoch, st.StagesRecompiled, st.StagesReused, float64(st.LoadNanos)/1e6)
-	} else {
-		line += fmt.Sprintf(" load=%.2fms", float64(st.LoadNanos)/1e6)
+	if st.Epoch > 0 {
+		line += fmt.Sprintf(" epoch=%d stages=%d+%d_reused",
+			st.Epoch, st.StagesRecompiled, st.StagesReused)
 	}
+	line += fmt.Sprintf(" load=%.2fms", float64(st.LoadNanos)/1e6)
 	fmt.Println(line)
 }
 

@@ -66,10 +66,8 @@ func renderStatus(st *health.Status) string {
 		if ev.ConfigHash != "" {
 			line += " cfg=" + ev.ConfigHash
 		}
-		if ev.Hitless {
-			line += fmt.Sprintf(" epoch=%d hitless", ev.Epoch)
-		} else if ev.DrainNanos > 0 {
-			line += fmt.Sprintf(" drain=%.3fms", float64(ev.DrainNanos)/1e6)
+		if ev.Epoch > 0 {
+			line += fmt.Sprintf(" epoch=%d", ev.Epoch)
 		}
 		if ev.Detail != "" {
 			line += " (" + ev.Detail + ")"

@@ -95,7 +95,8 @@ func main() {
 	fmt.Printf("  stages: +%v -%v\n", rep.Compiler.AddedStages, rep.Compiler.RemovedStages)
 	fmt.Printf("  TSP templates rewritten: %v (of 16)\n", rep.Compiler.RewrittenTSPs)
 	fmt.Printf("  only new tables need population: %v\n", rep.Compiler.NewTables)
-	fmt.Printf("  pipeline stall so far: %v\n", sw.Pipeline().StallTime())
+	epoch, _, _ := sw.EpochStats()
+	fmt.Printf("  published as program epoch %d (no pipeline drain)\n", epoch)
 
 	// Two equal-cost members for nexthop group 7.
 	nhA := pkt.MAC{0x02, 0, 0, 0, 0, 0x03}

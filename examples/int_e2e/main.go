@@ -111,8 +111,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, ev := range events {
-		fmt.Printf("  #%d %-12s cfg=%s tsps=%d drain=%.3fms in_flight=%d\n",
-			ev.Seq, ev.Kind, ev.ConfigHash, ev.TSPsWritten,
-			float64(ev.DrainNanos)/1e6, ev.InFlight)
+		fmt.Printf("  #%d %-12s cfg=%s epoch=%d tsps=%d in_flight=%d\n",
+			ev.Seq, ev.Kind, ev.ConfigHash, ev.Epoch, ev.TSPsWritten, ev.InFlight)
 	}
 }

@@ -131,7 +131,6 @@ type DeviceStats struct {
 	Dropped         uint64      `json:"dropped"`
 	ToCPU           uint64      `json:"to_cpu"`
 	ActiveTSPs      int         `json:"active_tsps"`
-	StallNanos      int64       `json:"stall_nanos"`
 	TemplateLoads   uint64      `json:"template_loads"`
 	InvalidAccesses uint64      `json:"invalid_accesses"`
 	Ports           []PortStats `json:"ports,omitempty"`
@@ -148,12 +147,11 @@ type ApplyStats struct {
 	LoadNanos       int64 `json:"load_nanos"`
 	Full            bool  `json:"full"` // full install vs incremental patch
 
-	// Hitless-apply fields: set when the device published the new program
-	// as an epoch in its versioned store instead of draining. Epoch is the
-	// published version id; StagesRecompiled/StagesReused split the stage
-	// set by whether structural hashing let the compiler reuse the
-	// previous epoch's compiled stage.
-	Hitless          bool   `json:"hitless,omitempty"`
+	// Epoch-store fields: set when the device published the new program
+	// as an epoch of a versioned store. Epoch is the published version
+	// id; StagesRecompiled/StagesReused split the stage set by whether
+	// structural hashing let the compiler reuse the previous epoch's
+	// compiled stage.
 	Epoch            uint64 `json:"epoch,omitempty"`
 	StagesRecompiled int    `json:"stages_recompiled,omitempty"`
 	StagesReused     int    `json:"stages_reused,omitempty"`

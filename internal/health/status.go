@@ -83,7 +83,7 @@ func (h *Health) Status(window time.Duration) *Status {
 		}
 	}
 	for _, o := range h.ops {
-		if o.done.Load() {
+		if o.check() {
 			continue
 		}
 		age := now - o.start

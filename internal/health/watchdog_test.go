@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,12 +149,14 @@ func TestWatchdogAllLanesStalled(t *testing.T) {
 	}
 }
 
-// TestReconfigDeadline starts a drain-and-swap that never finishes: the
-// monitor must report it wedged (degraded + event) instead of hanging,
-// and clear once the op completes.
+// TestReconfigDeadline watches a retired program version whose pinned
+// packets do not finish: the monitor must report the reconfiguration
+// wedged (degraded + event) instead of hanging, and clear once the
+// version quiesces.
 func TestReconfigDeadline(t *testing.T) {
 	hn := newHarness(t, nil)
-	done := hn.h.BeginOp("apply_patch", "cafebabe")
+	var quiesced atomic.Bool
+	hn.h.BeginOpWatch("apply_patch", "cafebabe", quiesced.Load)
 
 	// Within the 2s default deadline: still healthy.
 	hn.check(t, 1)
@@ -183,8 +186,8 @@ func TestReconfigDeadline(t *testing.T) {
 		t.Fatalf("status ops = %+v, want one wedged op", st.Ops)
 	}
 
-	// The drain finally completes: op pruned, state recovers.
-	done()
+	// The last pinned packet finally finishes: op pruned, state recovers.
+	quiesced.Store(true)
 	hn.check(t, 1)
 	if st := hn.h.State(); st != StateHealthy {
 		t.Fatalf("state after op completion = %v, want healthy", st)

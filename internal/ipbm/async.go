@@ -38,8 +38,8 @@ func (s *Switch) RunPipelined(egressWorkers int) error {
 	if egressWorkers <= 0 {
 		return fmt.Errorf("ipbm: need at least one egress worker")
 	}
-	if s.dp.Design() == nil {
-		return fmt.Errorf("ipbm: no configuration installed")
+	if s.epochs.current() == nil {
+		return errNotConfigured
 	}
 	for i := 0; i < s.ports.Len(); i++ {
 		port, _ := s.ports.Port(i)
@@ -116,28 +116,23 @@ func (s *Switch) egressLoop(beat *telemetry.Counter) {
 // ingestOne runs the ingress half and admits the survivor to the TM.
 // Packets and Envs are pooled; a packet parked in the TM keeps its pooled
 // buffers (its Env is returned immediately — egress binds a fresh one),
-// and is recycled as soon as it dies. In hitless mode the packet pins the
-// current program version at ingress and carries it across the TM in
-// p.Ver, so egress — possibly after a reconfiguration — executes the same
-// program (per-packet version consistency).
+// and is recycled as soon as it dies. The packet pins the current program
+// version at ingress and carries it across the TM in p.Ver, so egress —
+// possibly after a reconfiguration — executes the same program
+// (per-packet version consistency).
 func (s *Switch) ingestOne(data []byte, inPort int) {
 	v := s.epochs.pin()
-	var d *dataplane.Design
-	if v != nil {
-		d = v.design
-	} else if d = s.dp.Design(); d == nil {
+	if v == nil {
 		return
 	}
-	p, err := s.dp.GetPacket(d, data, inPort)
+	p, err := s.dp.GetPacket(v.design, data, inPort)
 	if err != nil {
-		if v != nil {
-			v.unpin()
-		}
+		v.unpin()
 		s.admitFailed(0, inPort, data)
 		return
 	}
 	s.dp.BeginPacket(p)
-	if p.Trace != nil && v != nil {
+	if p.Trace != nil {
 		p.Trace.Epoch = v.epoch
 	}
 	// Flow accounting: the per-port ingress workers make the ingress
@@ -153,15 +148,10 @@ func (s *Switch) ingestOne(data []byte, inPort int) {
 			p.FlowNanos = now
 		}
 	}
-	env := s.dp.GetEnv(d)
+	env := s.dp.GetEnv(v.design)
 	env.Trace = p.Trace
 	env.Timed = p.Timed
-	var ok bool
-	if v != nil {
-		ok = v.runIngress(s.pl, p, env)
-	} else {
-		ok = s.pl.RunIngress(p, d.Parser, s, env)
-	}
+	ok := v.runIngress(s.pl, p, env)
 	s.dp.PutEnv(env)
 	if !ok {
 		dv := dataplane.DropVerdict(p)
@@ -170,12 +160,10 @@ func (s *Switch) ingestOne(data []byte, inPort int) {
 			fl.Finish(p.RSS, flowstat.VerdictOf(dv), flowLat(p), now)
 		}
 		s.dp.PutPacket(p)
-		if v != nil {
-			v.unpin()
-		}
+		v.unpin()
 		return // dropped in ingress
 	}
-	p.Ver = v // nil on the legacy path; cleared again by PutPacket
+	p.Ver = v // cleared again by egress or PutPacket
 	// Tail drop is the TM's policy decision; counted in its stats.
 	if !s.pl.TM().Admit(p) {
 		s.dp.FinishPacket(p, "tm_drop")
@@ -183,9 +171,7 @@ func (s *Switch) ingestOne(data []byte, inPort int) {
 			fl.Finish(p.RSS, flowstat.VerdictTMDrop, flowLat(p), now)
 		}
 		s.dp.PutPacket(p)
-		if v != nil {
-			v.unpin()
-		}
+		v.unpin()
 	}
 }
 
@@ -204,8 +190,7 @@ func (s *Switch) egestOne() bool {
 // Consecutive packets pinned to the same program version run stage-major
 // through runEgressBatch — one Env bind for the run, Trace/Timed rebound
 // per packet inside ExecuteBatch, drops and survivors counted by the
-// batch accounting — then finish per-packet. Unpinned packets (legacy
-// drain mode) fall back to the per-packet path. Returns how many packets
+// batch accounting — then finish per-packet. Returns how many packets
 // were dequeued this round.
 func (s *Switch) egestBatch(scratch []*pkt.Packet) int {
 	n := 0
@@ -221,18 +206,9 @@ func (s *Switch) egestBatch(scratch []*pkt.Packet) int {
 		return 0
 	}
 	for i := 0; i < n; {
-		v, _ := scratch[i].Ver.(*progVersion)
-		if v == nil {
-			s.egestPacket(scratch[i])
-			scratch[i] = nil
-			i++
-			continue
-		}
+		v := scratch[i].Ver.(*progVersion)
 		j := i + 1
-		for j < n {
-			if vj, _ := scratch[j].Ver.(*progVersion); vj != v {
-				break
-			}
+		for j < n && scratch[j].Ver.(*progVersion) == v {
 			j++
 		}
 		group := scratch[i:j]
@@ -250,30 +226,19 @@ func (s *Switch) egestBatch(scratch []*pkt.Packet) int {
 	return n
 }
 
-// egestPacket runs the egress half on one dequeued packet and transmits
-// the survivor. A packet carrying a pinned program version (hitless mode)
-// finishes under that version and releases it here.
+// egestPacket runs the egress half on one dequeued packet under the
+// program version it pinned at ingress, transmits the survivor and
+// releases the pin.
 func (s *Switch) egestPacket(p *pkt.Packet) {
-	v, _ := p.Ver.(*progVersion)
-	var d *dataplane.Design
-	if v != nil {
-		p.Ver = nil
-		defer v.unpin()
-		d = v.design
-	} else {
-		d = s.dp.Design()
-	}
-	env := s.dp.GetEnv(d)
+	v := p.Ver.(*progVersion)
+	p.Ver = nil
+	env := s.dp.GetEnv(v.design)
 	env.Trace = p.Trace
 	env.Timed = p.Timed
-	var survived bool
-	if v != nil {
-		survived = v.runEgress(s.pl, p, env)
-	} else {
-		survived = s.pl.RunEgress(p, d.Parser, s, env)
-	}
+	survived := v.runEgress(s.pl, p, env)
 	s.dp.PutEnv(env)
 	s.egestFinish(p, v, survived)
+	v.unpin()
 }
 
 // egestFinish is the post-stage half of egress: drop bookkeeping, punt,
@@ -296,14 +261,9 @@ func (s *Switch) egestFinish(p *pkt.Packet, v *progVersion, survived bool) {
 	}
 	dataplane.SurfaceOutPort(p)
 	// INT sink at the egress boundary (pipelined mode): strip + decode
-	// before transmit. One atomic load when INT is off; version-consistent
-	// with the program that stamped when the packet is pinned.
-	sink := s.intSinkP.Load()
-	if v != nil {
-		sink = v.sink
-	}
-	if sink != nil {
-		sink.process(p)
+	// before transmit, with the sink of the program that stamped.
+	if v.sink != nil {
+		v.sink.process(p)
 	}
 	if p.OutPort >= 0 && p.OutPort < s.ports.Len() {
 		if port, err := s.ports.Port(p.OutPort); err == nil && !port.Send(p.Data) {

@@ -139,7 +139,6 @@ func (s *Switch) Stats() *ctrlplane.DeviceStats {
 		Dropped:         dropped,
 		ToCPU:           s.punted.Load(),
 		ActiveTSPs:      s.pl.ActiveTSPs(),
-		StallNanos:      int64(s.pl.StallTime()),
 		TemplateLoads:   loads,
 		InvalidAccesses: s.dp.Faults().InvalidHeaderAccess.Load(),
 		Ports:           ports,

@@ -1,7 +1,7 @@
 package ipbm
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"ipsa/internal/dataplane"
@@ -16,64 +16,32 @@ import (
 func (s *Switch) NewPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	d := s.dp.Design()
 	if d == nil {
-		return nil, fmt.Errorf("ipbm: no configuration installed")
+		return nil, errNotConfigured
 	}
 	return d.NewPacket(data, inPort)
 }
 
-// run executes the synchronous lifecycle on an already-built packet:
-// telemetry begin, full pipeline, punt, out-port surfacing, telemetry
-// finish. It reports whether the packet survived the pipeline.
-func (s *Switch) run(d *dataplane.Design, p *pkt.Packet, env *tsp.Env) bool {
-	s.dp.BeginPacket(p)
-	env.Trace = p.Trace
-	env.Timed = p.Timed
-	ok := s.pl.Process(p, d.Parser, s, env)
-	if p.ToCPU {
-		s.punt(p)
-	}
-	if ok {
-		// The executor sets istd.out_port; surface it on the packet.
-		dataplane.SurfaceOutPort(p)
-		// INT sink: at the egress boundary, strip + decode the trailer so
-		// it never leaves the switch. One atomic load when INT is off.
-		if sink := s.intSinkP.Load(); sink != nil && !p.Drop {
-			sink.process(p)
-		}
-	}
-	s.dp.FinishPacket(p, dataplane.Verdict(p, ok, s.ports.Len()))
-	return ok
-}
+// errNotConfigured is the packet path's answer before the first program
+// version is published.
+var errNotConfigured = errors.New("ipbm: no configuration installed")
 
 // ProcessPacket pushes one raw frame through the pipeline and returns the
 // resulting packet. Survivors have OutPort set from istd.out_port; ToCPU
 // packets are additionally cloned onto the punt queue. The returned
 // packet is caller-owned (not pooled) so it can be inspected freely.
 func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
-	if v := s.epochs.pin(); v != nil {
-		defer v.unpin()
-		p, err := v.design.NewPacket(data, inPort)
-		if err != nil {
-			return nil, err
-		}
-		fl, now := s.flowTouch(p, data, inPort)
-		env := s.dp.GetEnv(v.design)
-		ok := s.runEpoch(v, p, env)
-		s.dp.PutEnv(env)
-		s.flowFinish(fl, p, ok, now)
-		return p, nil
+	v := s.epochs.pin()
+	if v == nil {
+		return nil, errNotConfigured
 	}
-	d := s.dp.Design()
-	if d == nil {
-		return nil, fmt.Errorf("ipbm: no configuration installed")
-	}
-	p, err := d.NewPacket(data, inPort)
+	defer v.unpin()
+	p, err := v.design.NewPacket(data, inPort)
 	if err != nil {
 		return nil, err
 	}
 	fl, now := s.flowTouch(p, data, inPort)
-	env := s.dp.GetEnv(d)
-	ok := s.run(d, p, env)
+	env := s.dp.GetEnv(v.design)
+	ok := s.runEpoch(v, p, env)
 	s.dp.PutEnv(env)
 	s.flowFinish(fl, p, ok, now)
 	return p, nil
@@ -114,31 +82,20 @@ func (s *Switch) flowFinish(fl *flowstat.Table, p *pkt.Packet, ok bool, now int6
 func (s *Switch) Forward(data []byte, inPort int) (bool, error) {
 	// Pin the program version before sizing the packet so metadata and
 	// header-vector shapes always match the stages that will execute.
-	// A nil pin means drain mode (or nothing installed): legacy path.
 	v := s.epochs.pin()
-	var d *dataplane.Design
-	if v != nil {
-		d = v.design
-	} else if d = s.dp.Design(); d == nil {
-		return false, fmt.Errorf("ipbm: no configuration installed")
+	if v == nil {
+		return false, errNotConfigured
 	}
-	p, err := s.dp.GetPacket(d, data, inPort)
+	p, err := s.dp.GetPacket(v.design, data, inPort)
 	if err != nil {
-		if v != nil {
-			v.unpin()
-		}
+		v.unpin()
 		s.admitFailed(0, inPort, data)
 		return false, err
 	}
 	fl, now := s.flowTouch(p, data, inPort)
-	env := s.dp.GetEnv(d)
-	var ok bool
-	if v != nil {
-		ok = s.runEpoch(v, p, env)
-		v.unpin()
-	} else {
-		ok = s.run(d, p, env)
-	}
+	env := s.dp.GetEnv(v.design)
+	ok := s.runEpoch(v, p, env)
+	v.unpin()
 	s.dp.PutEnv(env)
 	s.flowFinish(fl, p, ok, now)
 	defer s.dp.PutPacket(p)
@@ -176,25 +133,14 @@ var batchPool = sync.Pool{New: func() any {
 // before any packet advances — so fused stage closures, key plans and
 // match-table buckets stay cache-hot across the batch and the per-packet
 // bookkeeping amortizes. Each frame must be a distinct buffer (packets
-// alias their frames while in flight). On drain-mode switches (no
-// published version) it degrades to per-frame Forward calls.
+// alias their frames while in flight).
 func (s *Switch) ForwardBatch(frames [][]byte, inPort int) (int, error) {
 	if len(frames) == 0 {
 		return 0, nil
 	}
 	v := s.epochs.pin()
 	if v == nil {
-		sent := 0
-		for _, data := range frames {
-			ok, err := s.Forward(data, inPort)
-			if err != nil {
-				return sent, err
-			}
-			if ok {
-				sent++
-			}
-		}
-		return sent, nil
+		return 0, errNotConfigured
 	}
 	defer v.unpin()
 	d := v.design

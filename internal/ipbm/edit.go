@@ -126,9 +126,8 @@ func (s *Switch) EditApply(op ctrlplane.EditOp) error {
 }
 
 // EditCommit validates the pending configuration and publishes it as
-// one reconfiguration (hitless epoch publish unless the switch runs in
-// DrainReconfig mode). On failure the transaction stays open so the
-// caller can add corrective ops or abort.
+// one reconfiguration (one epoch of the program store). On failure the
+// transaction stays open so the caller can add corrective ops or abort.
 func (s *Switch) EditCommit() (*ctrlplane.EditStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,7 +138,7 @@ func (s *Switch) EditCommit() (*ctrlplane.EditStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ipbm: edit script does not validate: %w", err)
 	}
-	stats, err := s.applyLocked(cfg, time.Now())
+	stats, err := s.applyHitless(cfg, time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +150,6 @@ func (s *Switch) EditCommit() (*ctrlplane.EditStats, error) {
 		TSPsWritten:      stats.TSPsWritten,
 		TablesCreated:    stats.TablesCreated,
 		TablesDropped:    stats.TablesDropped,
-		Hitless:          stats.Hitless,
 		Epoch:            stats.Epoch,
 		StagesRecompiled: stats.StagesRecompiled,
 		StagesReused:     stats.StagesReused,

@@ -19,21 +19,21 @@ import (
 	"ipsa/internal/tsp"
 )
 
-// This file implements the epoch-versioned program store, the hitless
-// replacement for drain-and-swap reconfiguration. Every reconfiguration
-// (apply, patch, INT toggle, edit commit) assembles an immutable
-// progVersion — the compiled stage programs, the resolved table/selector
-// snapshot and the INT sink that belong together — and publishes it with
-// one atomic pointer store. Packets pin the version they entered under
-// and execute it to completion, so an old and a new program briefly
-// coexist and no packet ever waits for a writer. A superseded version is
-// retired and reclaimed once its in-flight count drains to zero.
+// This file implements the epoch-versioned program store, the switch's
+// one reconfiguration path. Every reconfiguration (apply, patch, INT
+// toggle, edit commit) assembles an immutable progVersion — the compiled
+// stage programs, the resolved table/selector snapshot and the INT sink
+// that belong together — and publishes it with one atomic pointer store.
+// Packets pin the version they entered under and execute it to
+// completion, so an old and a new program briefly coexist and no packet
+// ever waits for a writer. A superseded version is retired and reclaimed
+// once its in-flight count drains to zero.
 //
 // Table *contents* are intentionally not versioned: entry inserts and
 // member adds mutate the shared engines in place (control-plane writes
-// were always visible mid-flight, same as the legacy path). What the
-// version freezes is the program and the name→handle view, so a stage
-// compiled against epoch N can never observe a table dropped in N+1.
+// are visible mid-flight). What the version freezes is the program and
+// the name→handle view, so a stage compiled against epoch N can never
+// observe a table dropped in N+1.
 
 // epochSlot is one physical TSP's program under a version: the TSP
 // object (kept for latency-histogram attribution) plus the stage
@@ -169,8 +169,9 @@ func (v *progVersion) runEgressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, en
 	}
 }
 
-// process is the synchronous full traversal: ingress, TM pass-through,
-// egress — the epoch-pinned analogue of pipeline.Process.
+// process is the synchronous full traversal: ingress, TM pass-through
+// (a real chip buffers and schedules here; the synchronous path models an
+// uncongested TM while still exercising its accounting), egress.
 func (v *progVersion) process(pl *pipeline.Pipeline, p *pkt.Packet, env *tsp.Env) bool {
 	if !v.runIngress(pl, p, env) {
 		return false
@@ -183,9 +184,8 @@ func (v *progVersion) process(pl *pipeline.Pipeline, p *pkt.Packet, env *tsp.Env
 }
 
 // epochStore is the versioned program store: the current version behind
-// one atomic pointer plus the retired list awaiting quiescence. cur stays
-// nil on switches built with DrainReconfig, which is how the hot paths
-// select the legacy drain path with a single atomic load.
+// one atomic pointer plus the retired list awaiting quiescence. cur is nil
+// only until the first program is published.
 type epochStore struct {
 	cur atomic.Pointer[progVersion]
 
@@ -196,7 +196,7 @@ type epochStore struct {
 }
 
 // pin returns the current version with one in-flight reference taken, or
-// nil when the store is inactive (drain mode, or nothing published yet).
+// nil when nothing has been published yet.
 // The load→add window is benign: a concurrently retired version stays
 // valid Go memory, executes correctly, and is reclaimed on a later reap
 // once this pin unwinds.
@@ -257,7 +257,6 @@ func (st *epochStore) stats() (epoch uint64, retired int, reclaimed uint64) {
 
 // EpochStats reports the program store's epoch counter, the retired
 // versions still awaiting quiescent packets, and the total reclaimed.
-// All zero on drain-mode switches.
 func (s *Switch) EpochStats() (epoch uint64, retired int, reclaimed uint64) {
 	return s.epochs.stats()
 }
@@ -302,17 +301,16 @@ func stageUsesTables(cfg *template.Config, sn string, names map[string]bool) boo
 	return false
 }
 
-// applyHitless is the epoch-versioned apply: it performs the same
-// register/table reconciliation as the legacy path, compiles only the
-// stages whose structural hash changed, and publishes the result as a
-// new program version — without ever excluding packet readers. Called
-// with s.mu held.
+// applyHitless is the epoch-versioned apply: it reconciles registers and
+// tables, compiles only the stages whose structural hash changed, and
+// publishes the result as a new program version — without ever excluding
+// packet readers. Called with s.mu held (ApplyConfig, EditCommit).
 func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane.ApplyStats, error) {
 	var old *template.Config
 	if d := s.dp.Design(); d != nil {
 		old = d.Cfg
 	}
-	stats := &ctrlplane.ApplyStats{Full: old == nil, Hitless: true}
+	stats := &ctrlplane.ApplyStats{Full: old == nil}
 	kind := "apply_full"
 	patchDirected := old != nil && cfg.Patch != nil && s.opts.Crossbar == mem.FullCrossbar
 	if old != nil {
@@ -400,9 +398,8 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 		}
 	}
 
-	// 3. TSPsWritten keeps its legacy meaning — how many TSP programs the
-	// new configuration changes — so the Table 1 update-cost comparison
-	// and the patch manifest check stay valid across both modes.
+	// 3. TSPsWritten counts the TSP programs the new configuration
+	// changes — the Table 1 update-cost figure; a patch manifest states it.
 	if patchDirected {
 		stats.TSPsWritten = len(cfg.Patch.RewrittenTSPs)
 	} else {
@@ -452,8 +449,6 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 		TSPsWritten:      stats.TSPsWritten,
 		TablesCreated:    stats.TablesCreated,
 		TablesDropped:    stats.TablesDropped,
-		DrainNanos:       0, // hitless: no packet was ever blocked
-		Hitless:          true,
 		Epoch:            stats.Epoch,
 		StagesRecompiled: stats.StagesRecompiled,
 		StagesReused:     stats.StagesReused,
@@ -518,10 +513,9 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 		pub.recompiled++
 	}
 
-	// Refresh the pipeline's TSP bookkeeping and selector. On the hitless
-	// path no packet holds the pipeline's read lock, so Commit is
-	// uncontended metadata maintenance (scrape-time stats, ActiveTSPs),
-	// not a drain — nothing is charged to StallTime.
+	// Refresh the pipeline's TSP bookkeeping and selector. No packet reads
+	// them, so Commit is metadata maintenance (scrape-time stats,
+	// ActiveTSPs), never a drain.
 	n := s.pl.NumTSPs()
 	perTSP := make([][]*tsp.StageRuntime, n)
 	tmIn, tmOut := -1, n
@@ -563,7 +557,7 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 
 	// Assemble and publish the version; its predecessor is retired and
 	// reclaimed once its last pinned packet finishes. The health monitor
-	// watches that retirement the way it used to watch the drain deadline.
+	// reports the reconfiguration wedged if that takes past its deadline.
 	v := &progVersion{
 		design:  s.dp.Design(),
 		lookups: s.lookups.Load(),
@@ -592,7 +586,8 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 
 // runEpoch is the synchronous per-packet lifecycle against a pinned
 // version: telemetry begin, version-consistent pipeline, punt, out-port
-// surfacing, telemetry finish — the epoch analogue of run().
+// surfacing, INT sink, telemetry finish. It reports whether the packet
+// survived the pipeline.
 func (s *Switch) runEpoch(v *progVersion, p *pkt.Packet, env *tsp.Env) bool {
 	s.dp.BeginPacket(p)
 	if p.Trace != nil {

@@ -1,11 +1,15 @@
 package ipbm
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"ipsa/internal/ctrlplane"
+	"ipsa/internal/pipeline"
 	"ipsa/internal/template"
+	"ipsa/internal/tsp"
 )
 
 // scratchTableOps returns the two-op edit scripts that create and drop
@@ -39,7 +43,7 @@ func TestEpochStoreBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ops != 1 || st.Apply == nil || !st.Apply.Hitless {
+	if st.Ops != 1 || st.Apply == nil {
 		t.Fatalf("edit stats: %+v", st)
 	}
 	if st.Apply.TablesCreated != 1 || st.Apply.Epoch != 2 {
@@ -54,10 +58,6 @@ func TestEpochStoreBasics(t *testing.T) {
 	epoch, retired, reclaimed := sw.EpochStats()
 	if epoch != 2 || retired != 0 || reclaimed == 0 {
 		t.Errorf("after edit: epoch=%d retired=%d reclaimed=%d", epoch, retired, reclaimed)
-	}
-	// The pipeline never stalled.
-	if got := sw.Pipeline().StallTime(); got != 0 {
-		t.Errorf("hitless edit stalled the pipeline for %v", got)
 	}
 }
 
@@ -207,7 +207,127 @@ func TestEpochReclamationSoak(t *testing.T) {
 	if want := uint64(edits + 1); epoch != want {
 		t.Errorf("epoch = %d, want %d", epoch, want)
 	}
-	if got := sw.Pipeline().StallTime(); got != 0 {
-		t.Errorf("soak stalled the pipeline for %v", got)
+}
+
+// holdReconfig wedges the reconfiguration path the way a slow apply
+// would: it takes the switch's configuration lock and parks a pipeline
+// Commit callback on a channel, returning once both are held. The
+// returned release lets both go.
+func holdReconfig(sw *Switch) (release func()) {
+	sw.mu.Lock()
+	entered, unblock, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = sw.pl.Commit(func(*pipeline.Selector, []*tsp.TSP) error {
+			close(entered)
+			<-unblock
+			return nil
+		})
+	}()
+	<-entered
+	return func() {
+		close(unblock)
+		<-done
+		sw.mu.Unlock()
 	}
+}
+
+// completesWithin fails the test unless fn returns, without error, before
+// the deadline.
+func completesWithin(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- fn() }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Errorf("%s waited on a held reconfiguration", what)
+	}
+}
+
+// forwardsWithin injects frame at the ingress port of a switch running a
+// concurrent forwarding mode and requires it to emerge at the egress port
+// before the deadline.
+func forwardsWithin(t *testing.T, sw *Switch, what string, frame []byte) {
+	t.Helper()
+	in, _ := sw.Ports().Port(inPort)
+	out, _ := sw.Ports().Port(outPort)
+	completesWithin(t, what, func() error {
+		if !in.Inject(frame) {
+			return errors.New("ingress port refused the frame")
+		}
+		for end := time.Now().Add(10 * time.Second); time.Now().Before(end); {
+			if _, ok := out.Drain(); ok {
+				return nil
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		return errors.New("frame never reached the egress port")
+	})
+}
+
+// TestForwardingNeverWaitsOnReconfig pins the program store's core
+// contract: no forwarding path takes the configuration lock or the
+// pipeline's bookkeeping lock, so a reconfiguration that holds both —
+// however long it takes — never delays a packet. Every entry point
+// (Forward, ForwardBatch, ProcessPacket, the sharded and pipelined
+// runners) must forward a frame while both are held.
+func TestForwardingNeverWaitsOnReconfig(t *testing.T) {
+	frame := func() []byte { return v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64) }
+
+	t.Run("sync", func(t *testing.T) {
+		sw, _ := newBaseSwitch(t)
+		f1, f2, f3, f4 := frame(), frame(), frame(), frame()
+		release := holdReconfig(sw)
+		defer release()
+		completesWithin(t, "Forward", func() error {
+			if sent, err := sw.Forward(f1, inPort); err != nil || !sent {
+				return fmt.Errorf("sent=%v err=%v", sent, err)
+			}
+			return nil
+		})
+		completesWithin(t, "ForwardBatch", func() error {
+			if sent, err := sw.ForwardBatch([][]byte{f2, f3}, inPort); err != nil || sent != 2 {
+				return fmt.Errorf("sent=%d err=%v", sent, err)
+			}
+			return nil
+		})
+		completesWithin(t, "ProcessPacket", func() error {
+			p, err := sw.ProcessPacket(f4, inPort)
+			if err != nil {
+				return err
+			}
+			if p.Drop || p.OutPort != outPort {
+				return fmt.Errorf("drop=%v out_port=%d", p.Drop, p.OutPort)
+			}
+			return nil
+		})
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		sw, _ := newBaseSwitch(t)
+		if err := sw.RunSharded(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Shutdown()
+		f := frame()
+		release := holdReconfig(sw)
+		defer release()
+		forwardsWithin(t, sw, "RunSharded", f)
+	})
+
+	t.Run("pipelined", func(t *testing.T) {
+		sw, _ := newBaseSwitch(t)
+		if err := sw.RunPipelined(1); err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Shutdown()
+		f := frame()
+		release := holdReconfig(sw)
+		defer release()
+		forwardsWithin(t, sw, "RunPipelined", f)
+	})
 }

@@ -4,9 +4,9 @@ package ipbm
 // time-series ring samples the registry plus a few explicitly wired
 // collector-backed series, the watchdog lanes are registered by the
 // forwarding modes (one per shard worker, one per pipelined egress
-// worker), and the reconfiguration paths bracket their drain-and-swap
-// critical sections with BeginOp so a wedged drain is reported instead
-// of hanging silently.
+// worker), and every reconfiguration registers the retirement of the
+// program version it superseded (BeginOpWatch), so a version whose
+// pinned packets never finish is reported instead of hanging silently.
 
 import (
 	"time"

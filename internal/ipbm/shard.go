@@ -11,9 +11,7 @@ package ipbm
 // pinning: each worker wakeup pins the current program version once,
 // processes its whole batch (including the TM drain) under it, and
 // unpins — so a reconfig storm never blocks a shard, and the version
-// pin/unpin cost amortizes over the batch. DrainReconfig switches leave
-// the store unpublished and fall back to the shared pipeline's read
-// lock, draining all shards through backpressure as before.
+// pin/unpin cost amortizes over the batch.
 
 import (
 	"fmt"
@@ -110,8 +108,8 @@ func (s *Switch) RunSharded(shards, batch int) error {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	if s.dp.Design() == nil {
-		return fmt.Errorf("ipbm: no configuration installed")
+	if s.epochs.current() == nil {
+		return errNotConfigured
 	}
 	if s.shardsP.Load() != nil {
 		return fmt.Errorf("ipbm: sharded mode already running")
@@ -231,17 +229,13 @@ func (s *Switch) shardReader(portIdx int, port netio.BatchPort, set *shardSet, r
 // Every frame of one wakeup — and the TM drain that follows — executes
 // one pinned program version: shardDrain always empties the shard TM
 // before the worker parks again, so no packet outlives its batch's pin.
+// RunSharded starts only once a version is published, and the store never
+// unpublishes, so the pin is never nil here.
 func (s *Switch) shardWorker(sh *shardRunner, batch int) {
 	defer s.runWG.Done()
 	for {
 		f, ok := <-sh.in
 		if !ok {
-			sh.now = flowstat.Now()
-			v := s.epochs.pin()
-			s.shardDrain(sh, v)
-			if v != nil {
-				v.unpin()
-			}
 			return
 		}
 		if g := sh.gate.Load(); g != nil {
@@ -268,9 +262,7 @@ func (s *Switch) shardWorker(sh *shardRunner, batch int) {
 		sh.rx.Add(uint64(len(frames)))
 		sh.batches.Inc()
 		s.shardDrain(sh, v)
-		if v != nil {
-			v.unpin()
-		}
+		v.unpin()
 		sh.frames = frames[:0]
 		if closed {
 			return
@@ -278,18 +270,11 @@ func (s *Switch) shardWorker(sh *shardRunner, batch int) {
 	}
 }
 
-// shardProcess runs one wakeup's frames through the ingress half. Under
-// a pinned version the packets are built first and then executed
-// stage-major as one batch (with match-bucket prefetch one packet
-// ahead); survivors are admitted to the shard TM. The legacy drain path
-// (v == nil) keeps per-frame execution under the pipeline's read lock.
+// shardProcess runs one wakeup's frames through the ingress half under
+// the batch's pinned version: the packets are built first and then
+// executed stage-major as one batch (with match-bucket prefetch one
+// packet ahead); survivors are admitted to the shard TM.
 func (s *Switch) shardProcess(sh *shardRunner, frames []shardFrame, v *progVersion) {
-	if v == nil {
-		for _, f := range frames {
-			s.shardIngest(sh, f, nil)
-		}
-		return
-	}
 	d := v.design
 	ps := sh.ps[:0]
 	for _, f := range frames {
@@ -333,58 +318,6 @@ func (s *Switch) shardProcess(sh *shardRunner, frames []shardFrame, v *progVersi
 	sh.ps = ps[:0]
 }
 
-// shardIngest is ingestOne against the shard's freelist, Env and TM,
-// under the batch's pinned version (nil = legacy drain path).
-func (s *Switch) shardIngest(sh *shardRunner, f shardFrame, v *progVersion) {
-	var d *dataplane.Design
-	if v != nil {
-		d = v.design
-	} else if d = s.dp.Design(); d == nil {
-		return
-	}
-	p, err := sh.dsh.GetPacket(d, f.data, int(f.port))
-	if err != nil {
-		s.admitFailed(sh.dsh.Lane(), int(f.port), f.data)
-		return
-	}
-	s.dp.BeginPacket(p)
-	if p.Trace != nil && v != nil {
-		p.Trace.Epoch = v.epoch
-	}
-	p.RSS = f.hash
-	if sh.fl != nil {
-		sh.fl.Touch(f.hash, f.data, len(f.data), sh.now)
-		if p.Timed {
-			p.FlowNanos = flowstat.Now()
-		}
-	}
-	env := sh.dsh.Env(d)
-	env.Trace = p.Trace
-	env.Timed = p.Timed
-	var ok bool
-	if v != nil {
-		ok = v.runIngress(s.pl, p, env)
-	} else {
-		ok = s.pl.RunIngress(p, d.Parser, s, env)
-	}
-	if !ok {
-		dv := dataplane.DropVerdict(p)
-		s.dp.FinishPacket(p, dv)
-		if sh.fl != nil {
-			sh.fl.Finish(p.RSS, flowstat.VerdictOf(dv), flowLat(p), sh.now)
-		}
-		sh.dsh.PutPacket(p)
-		return
-	}
-	if !sh.tm.Admit(p) {
-		s.dp.FinishPacket(p, "tm_drop")
-		if sh.fl != nil {
-			sh.fl.Finish(p.RSS, flowstat.VerdictTMDrop, flowLat(p), sh.now)
-		}
-		sh.dsh.PutPacket(p)
-	}
-}
-
 // flowLat is the sampled per-flow latency: the time since the packet's
 // admission stamp, taken only for latency-sampled packets (-1 = none).
 func flowLat(p *pkt.Packet) int64 {
@@ -395,25 +328,9 @@ func flowLat(p *pkt.Packet) int64 {
 }
 
 // shardDrain empties the shard TM through the egress half, then flushes
-// the accumulated per-port transmit batches. Under a pinned version the
-// whole drain is collected first and executed stage-major as one batch;
-// the legacy path keeps per-packet execution.
+// the accumulated per-port transmit batches. The whole drain is collected
+// first and executed stage-major as one batch under the pinned version.
 func (s *Switch) shardDrain(sh *shardRunner, v *progVersion) {
-	if v == nil {
-		flush := false
-		for {
-			p, ok := sh.tm.DequeueRR()
-			if !ok {
-				break
-			}
-			s.shardEgest(sh, p)
-			flush = true
-		}
-		if flush {
-			s.shardFlushTx(sh)
-		}
-		return
-	}
 	ps := sh.eps[:0]
 	for {
 		p, ok := sh.tm.DequeueRR()
@@ -436,23 +353,9 @@ func (s *Switch) shardDrain(sh *shardRunner, v *progVersion) {
 	s.shardFlushTx(sh)
 }
 
-// shardEgest runs the egress half on one packet on the legacy drain path
-// (no published program version). The tail mirrors egestOne, with the
-// shard freelist in place of the shared pool and XmitBatch in place of
-// Send.
-func (s *Switch) shardEgest(sh *shardRunner, p *pkt.Packet) {
-	d := s.dp.Design()
-	env := sh.dsh.Env(d)
-	env.Trace = p.Trace
-	env.Timed = p.Timed
-	survived := s.pl.RunEgress(p, d.Parser, s, env)
-	s.shardDispose(sh, p, nil, survived)
-}
-
 // shardDispose finishes one egressed packet: drop bookkeeping or punt,
 // out-port surfacing, INT sink, transmit queueing, telemetry finish,
-// flow accounting and freelist return — shared by the legacy per-packet
-// path (v == nil) and the batched epoch path.
+// flow accounting and freelist return.
 func (s *Switch) shardDispose(sh *shardRunner, p *pkt.Packet, v *progVersion, survived bool) {
 	if !survived {
 		dv := dataplane.DropVerdict(p)
@@ -467,12 +370,8 @@ func (s *Switch) shardDispose(sh *shardRunner, p *pkt.Packet, v *progVersion, su
 		s.punt(p)
 	}
 	dataplane.SurfaceOutPort(p)
-	sink := s.intSinkP.Load()
-	if v != nil {
-		sink = v.sink
-	}
-	if sink != nil {
-		sink.process(p)
+	if v.sink != nil {
+		v.sink.process(p)
 	}
 	if p.OutPort >= 0 && p.OutPort < len(sh.txq) {
 		sh.txq[p.OutPort] = append(sh.txq[p.OutPort], p.Data)

@@ -171,7 +171,7 @@ func TestShardedFlowOrdering(t *testing.T) {
 // in-situ reconfiguration paths — INT toggles and a pipeline patch —
 // while traffic flows, then checks verdict conservation: every accepted
 // packet is transmitted, stage-dropped, tail-dropped, port-dropped or
-// no-port-dropped, with nothing lost across the drain-and-swap windows.
+// no-port-dropped, with nothing lost across the epoch publishes.
 // `make race` runs this under the race detector.
 func TestShardedReconfigConservation(t *testing.T) {
 	w := newBaseWorkspace(t)
@@ -323,14 +323,13 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
 	data := make([]byte, len(raw))
 	out, _ := sw.Ports().Port(outPort)
+	frames := []shardFrame{{data: data, port: inPort}}
 	fwd := func() {
 		copy(data, raw) // egress rewrites headers in place; reset each run
 		v := sw.epochs.pin()
-		sw.shardIngest(sh, shardFrame{data: data, port: inPort}, v)
+		sw.shardProcess(sh, frames, v)
 		sw.shardDrain(sh, v)
-		if v != nil {
-			v.unpin()
-		}
+		v.unpin()
 		out.Drain() // keep the tx ring empty so XmitBatch never tail-drops
 	}
 	for i := 0; i < 64; i++ {

@@ -5,7 +5,7 @@
 // Storage Module (disaggregated memory pool). Its defining property is
 // that ApplyConfig patches only what changed: TSP templates are rewritten
 // individually, existing tables and registers keep their contents, and the
-// pipeline stalls only for the duration of the patch.
+// new program is published as an epoch packets pick up without stalling.
 package ipbm
 
 import (
@@ -27,7 +27,6 @@ import (
 	"ipsa/internal/netio"
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
-	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 	"ipsa/internal/tsp"
 )
@@ -86,9 +85,9 @@ type Options struct {
 	HealthWindow time.Duration
 	// HealthRing is the number of retained rate samples (0 = 120).
 	HealthRing int
-	// ReconfigDeadline bounds a drain-and-swap (or, in hitless mode, a
-	// retired program version's quiescence) before the health monitor
-	// reports the reconfiguration wedged (0 = 2s).
+	// ReconfigDeadline bounds a retired program version's quiescence (its
+	// last pinned packet finishing) before the health monitor reports the
+	// reconfiguration wedged (0 = 2s).
 	ReconfigDeadline time.Duration
 
 	// FlowTableBits sizes each flow-accounting lane table to 2^bits slots
@@ -111,15 +110,6 @@ type Options struct {
 	// FlowDisable turns flow accounting off entirely (it is on by
 	// default; the overhead benchmarks use this for the comparison).
 	FlowDisable bool
-
-	// DrainReconfig selects the legacy drain-and-swap reconfiguration
-	// path: ApplyConfig/SetInt exclude packet readers while templates are
-	// rewritten in place. The default (false) is the hitless
-	// epoch-versioned program store, where packets pin the version they
-	// entered under and updates never block traffic. The drain path is
-	// kept for the PISA-style comparison (pisa itself always drains) and
-	// as a measurable baseline for the reconfig-storm benchmark.
-	DrainReconfig bool
 }
 
 // DefaultOptions returns a software-scale switch: more TSPs than the
@@ -171,10 +161,9 @@ type Switch struct {
 	// never touch the memory manager's mutex.
 	lookups atomic.Pointer[lookupSnapshot]
 
-	// epochs is the versioned program store (hitless mode). Its current
-	// pointer stays nil on DrainReconfig switches, which is how every hot
-	// path selects between the epoch-pinned and legacy execution with a
-	// single atomic load.
+	// epochs is the versioned program store: the only way a program
+	// reaches the packet path. Its current pointer is nil only before the
+	// first successful ApplyConfig.
 	epochs epochStore
 
 	// edit is the open edit-script session, if any (guarded by s.mu).
@@ -401,9 +390,9 @@ func orderedStagesOf(cfg *template.Config, tspIdx int) []string {
 // TSPs whose template content changed are rewritten, new tables are
 // created, vanished tables are recycled, existing table entries and
 // register contents are preserved, and tables whose TSP moved across
-// crossbar clusters are migrated. By default the change is published as a
-// new epoch of the versioned program store (hitless — see epoch.go); with
-// Options.DrainReconfig the legacy drain-and-swap below runs instead.
+// crossbar clusters are migrated. The change is published as a new epoch
+// of the versioned program store, so packets never wait for it (see
+// epoch.go).
 func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -411,200 +400,7 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked(cfg, start)
-}
-
-// applyLocked dispatches an already-validated configuration to the
-// hitless or drain-and-swap implementation. Callers hold s.mu (the edit
-// layer's commit reuses this entry point under its own lock hold).
-func (s *Switch) applyLocked(cfg *template.Config, start time.Time) (*ctrlplane.ApplyStats, error) {
-	if !s.opts.DrainReconfig {
-		return s.applyHitless(cfg, start)
-	}
-	var old *template.Config
-	if d := s.dp.Design(); d != nil {
-		old = d.Cfg
-	}
-	if old != nil && cfg.Patch != nil && s.opts.Crossbar == mem.FullCrossbar {
-		// rp4bc told us exactly what changed: write only that. (Clustered
-		// crossbars take the diffing path because a layout change may
-		// force cross-cluster table migrations the manifest doesn't
-		// describe.)
-		return s.applyPatch(cfg, start)
-	}
-	stats := &ctrlplane.ApplyStats{Full: old == nil}
-
-	// 1. Registers: additive, contents preserved.
-	if err := s.regs.Update(cfg.Registers); err != nil {
-		return nil, err
-	}
-
-	// 2. Tables: create new, drop removed, migrate moved.
-	tspOfTable := func(c *template.Config, name string) int {
-		for sn, st := range c.Stages {
-			for _, tn := range st.Tables {
-				if tn == name {
-					return c.TSPAssignment[sn]
-				}
-			}
-		}
-		return 0
-	}
-	for name, t := range cfg.Tables {
-		if _, ok := s.mm.Table(name); ok {
-			if old != nil {
-				oldTSP, newTSP := tspOfTable(old, name), tspOfTable(cfg, name)
-				if oldTSP != newTSP {
-					moved, err := s.mm.Migrate(name, newTSP)
-					if err != nil {
-						return nil, err
-					}
-					stats.EntriesMigrated += moved
-				}
-			}
-			continue
-		}
-		kind, err := match.ParseKind(t.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.mm.CreateTable(name, kind, t.KeyWidth, t.Size, tspOfTable(cfg, name)); err != nil {
-			return nil, err
-		}
-		stats.TablesCreated++
-		if t.IsSelector {
-			s.selectors[name] = newSelectorTable()
-		}
-	}
-	if old != nil {
-		for name := range old.Tables {
-			if _, stays := cfg.Tables[name]; !stays {
-				if err := s.mm.DropTable(name); err != nil {
-					return nil, err
-				}
-				delete(s.selectors, name)
-				stats.TablesDropped++
-			}
-		}
-	}
-
-	// 3. Build stage runtimes for the new config, lowering each stage
-	// template to its flat program (unless the interpreter was selected),
-	// with the INT stamping epilogue when INT is enabled on this switch.
-	runtimes, err := tsp.BuildStageRuntimesOpts(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
-	if err != nil {
-		return nil, err
-	}
-	for _, sr := range runtimes {
-		sr.Bind(s)
-	}
-
-	// 4. Drain the pipeline and patch TSP templates + selector. The audit
-	// event measures this critical section: TM occupancy going in, the
-	// exclusive-hold duration, and what the verdict counters did across it.
-	// BeginOp arms the health monitor's reconfiguration deadline: if the
-	// drain wedges (a reader stuck inside the pipeline), the switch is
-	// reported degraded instead of hanging silently.
-	kind := "apply_diff"
-	if stats.Full {
-		kind = "apply_full"
-	}
-	hash := configHash(cfg)
-	inFlight := s.tmDepthSum()
-	verdictsBefore := s.tel.verdictSnapshot()
-	opDone := s.health.BeginOp(kind, hash)
-	drainStart := time.Now()
-	err = s.pl.Update(func(sel *pipeline.Selector, tsps []*tsp.TSP) error {
-		tmIn, tmOut := -1, len(tsps)
-		for i := range tsps {
-			newSig := tspSignature(cfg, i)
-			oldSig := ""
-			if old != nil {
-				oldSig = tspSignature(old, i)
-			}
-			if newSig != oldSig {
-				var srs []*tsp.StageRuntime
-				for _, sn := range orderedStagesOf(cfg, i) {
-					srs = append(srs, runtimes[sn])
-				}
-				if len(srs) == 0 {
-					tsps[i].Unload()
-				} else {
-					tsps[i].Load(srs)
-				}
-				stats.TSPsWritten++
-			} else if old != nil {
-				// Unchanged content must still point at the new runtime
-				// objects (the old ones referenced the previous config).
-				var srs []*tsp.StageRuntime
-				for _, sn := range orderedStagesOf(cfg, i) {
-					srs = append(srs, runtimes[sn])
-				}
-				if len(srs) > 0 {
-					// Refresh without counting as a template write: the
-					// bits are identical, only our interpreter state moves.
-					tsps[i].Load(srs)
-				}
-			}
-			for _, sn := range orderedStagesOf(cfg, i) {
-				switch cfg.Stages[sn].Pipe {
-				case "ingress":
-					if i > tmIn {
-						tmIn = i
-					}
-				case "egress":
-					if i < tmOut {
-						tmOut = i
-					}
-				}
-			}
-		}
-		if sel.TMIn != tmIn || sel.TMOut != tmOut {
-			stats.SelectorMoved = true
-		}
-		sel.TMIn, sel.TMOut = tmIn, tmOut
-		return nil
-	})
-	drain := time.Since(drainStart)
-	opDone()
-	if err != nil {
-		return nil, err
-	}
-
-	// 5. Publish the new design snapshot (parser, SRv6 IDs, config) and
-	// the refreshed table-handle view; re-derive the INT sink's stage map
-	// for the new stage set.
-	s.rebuildLookups()
-	s.dp.Install(cfg, s.regs)
-	if s.intOn {
-		s.publishIntState(cfg)
-	}
-	stats.LoadNanos = int64(time.Since(start))
-	if stats.Full {
-		s.tel.appliesFull.Inc()
-	} else {
-		s.tel.appliesDiff.Inc()
-	}
-	s.tel.tspsWritten.Add(uint64(stats.TSPsWritten))
-	s.tel.migrated.Add(uint64(stats.EntriesMigrated))
-	s.tel.Events.Append(telemetry.Event{
-		Kind:          kind,
-		ConfigHash:    hash,
-		TSPsWritten:   stats.TSPsWritten,
-		TablesCreated: stats.TablesCreated,
-		TablesDropped: stats.TablesDropped,
-		DrainNanos:    int64(drain),
-		InFlight:      inFlight,
-		VerdictDeltas: s.tel.verdictDeltas(verdictsBefore),
-	})
-	s.log.Debug("configuration applied",
-		"kind", kind, "config_hash", hash,
-		"tsps_written", stats.TSPsWritten,
-		"tables_created", stats.TablesCreated,
-		"tables_dropped", stats.TablesDropped,
-		"entries_migrated", stats.EntriesMigrated,
-		"drain", drain, "in_flight", inFlight)
-	return stats, nil
+	return s.applyHitless(cfg, start)
 }
 
 // lookupSnapshot is an immutable name→handle view of the table store.

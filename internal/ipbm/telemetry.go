@@ -244,7 +244,6 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	processed, dropped := s.pl.Stats()
 	ctr("ipsa_pipeline_processed_total", processed)
 	ctr("ipsa_pipeline_dropped_total", dropped)
-	gauge("ipsa_pipeline_stall_seconds_total", s.pl.StallTime().Seconds())
 	gauge("ipsa_pipeline_active_tsps", float64(s.pl.ActiveTSPs()))
 	for i := 0; i < s.pl.NumTSPs(); i++ {
 		t, _ := s.pl.TSP(i)
@@ -301,7 +300,7 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	}
 
 	// Program store: current epoch, versions awaiting quiescence and
-	// versions reclaimed. All zero in DrainReconfig mode (no store).
+	// versions reclaimed.
 	epoch, retired, reclaimed := s.EpochStats()
 	gauge("ipsa_epoch", float64(epoch))
 	gauge("ipsa_epoch_retired_versions", float64(retired))
@@ -363,7 +362,8 @@ func (s *Switch) txFailed(p *pkt.Packet) {
 	}
 }
 
-// currentEpoch is the published program-store epoch (0 in drain mode).
+// currentEpoch is the published program-store epoch (0 before the first
+// apply).
 func (s *Switch) currentEpoch() uint64 {
 	if v := s.epochs.current(); v != nil {
 		return v.epoch

@@ -21,7 +21,7 @@ func (s *Switch) IntEnabled() bool {
 	return s.intOn
 }
 
-// SetInt enables or disables INT stamping. Unlike ipbm's drain-and-swap,
+// SetInt enables or disables INT stamping. Unlike ipbm's epoch publish,
 // this is PISA's only update mode: a full ApplyConfig rebuild, which
 // resets registers and empties every table.
 func (s *Switch) SetInt(enabled bool) error {

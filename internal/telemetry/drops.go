@@ -28,8 +28,8 @@ type DropRecord struct {
 	InPort  int `json:"in_port"`
 	OutPort int `json:"out_port"`
 	// Epoch is the program-store epoch current at the drop (0 on
-	// drain-mode switches), tying the loss to the program version that
-	// caused it across hitless reconfigurations.
+	// switches without a versioned store), tying the loss to the program
+	// version that caused it across hitless reconfigurations.
 	Epoch uint64 `json:"epoch,omitempty"`
 	Bytes int    `json:"bytes"`         // original frame length
 	Hdr   []byte `json:"hdr,omitempty"` // first DropHdrBytes of the frame
@@ -143,11 +143,12 @@ func (r *DropRing) Offer() bool {
 // true): the drop point, the epoch, and the frame's first DropHdrBytes
 // bytes. Zero allocations; the frame is copied, never retained.
 func (r *DropRing) Capture(reason verdict.DropReason, tsp, inPort, outPort int, epoch uint64, data []byte) {
-	seq := r.seq.Add(1)
 	r.sampled.Add(1)
 	r.mu.Lock()
+	// Numbered under the lock so ring order is sequence order: Dump's
+	// newest-first promise holds under concurrent captures.
 	s := &r.ring[r.pos]
-	s.seq = seq
+	s.seq = r.seq.Add(1)
 	s.nanos = dropNanos()
 	s.reason = reason
 	s.tsp = int32(tsp)

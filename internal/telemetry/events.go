@@ -6,10 +6,10 @@ import (
 )
 
 // Event is one structured audit record of an in-situ reconfiguration:
-// what was applied, how long the pipeline was held, and what the data
+// what was applied, which program epoch it published, and what the data
 // plane was doing while the swap happened. The event log is what turns
-// "hitless update" from an assertion into a measurement — DrainNanos and
-// VerdictDeltas show exactly what traffic experienced during the apply.
+// "hitless update" from an assertion into a measurement — VerdictDeltas
+// show exactly what traffic experienced during the apply.
 type Event struct {
 	Seq       uint64 `json:"seq"`
 	TimeNanos int64  `json:"time_nanos"` // wall clock (UnixNano)
@@ -24,15 +24,8 @@ type Event struct {
 	// TablesCreated/TablesDropped count storage-module changes.
 	TablesCreated int `json:"tables_created,omitempty"`
 	TablesDropped int `json:"tables_dropped,omitempty"`
-	// DrainNanos is how long the pipeline was exclusively held (packets
-	// blocked) for the swap. Hitless epoch commits never block packets and
-	// record 0 here with Hitless set instead of a misleading hold time.
-	DrainNanos int64 `json:"drain_nanos,omitempty"`
-	// Hitless marks a reconfiguration that published a new program version
-	// without draining the pipeline (epoch-versioned store).
-	Hitless bool `json:"hitless,omitempty"`
 	// Epoch is the program-store epoch the reconfiguration published (0
-	// for drain-and-swap events, which have no versioned store).
+	// for devices without a versioned store, e.g. pisa's full reload).
 	Epoch uint64 `json:"epoch,omitempty"`
 	// StagesRecompiled/StagesReused report how much of the pipeline's
 	// compiled program the structural-hash cache salvaged across epochs.

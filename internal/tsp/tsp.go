@@ -76,17 +76,11 @@ func (t *TSP) StageNames() []string {
 	return out
 }
 
-// Process runs the hosted stages on a packet. Bypassed TSPs pass packets
-// through untouched.
-func (t *TSP) Process(p *pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
-	t.ProcessWith(*t.stages.Load(), p, parser, backend, env)
-}
-
-// ProcessWith runs an explicit stage list on a packet instead of the
-// currently loaded one. The epoch-versioned program store uses it to
-// execute the stage set a packet was pinned to at ingress, regardless of
-// what has been downloaded into the TSP since; latency sampling still
-// lands on this TSP's histogram.
+// ProcessWith runs an explicit stage list on a packet; an empty list
+// passes the packet through untouched. The epoch-versioned program store
+// uses it to execute the stage set a packet was pinned to at ingress,
+// regardless of what has been downloaded into the TSP since; latency
+// sampling still lands on this TSP's histogram.
 func (t *TSP) ProcessWith(stages []*StageRuntime, p *pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
 	if len(stages) == 0 {
 		return
