@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-dataplane bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline flow-soak drop-soak fuzz-diff fuzz-fused profile-hotpath cover experiments examples health-smoke fmt vet lint clean
+.PHONY: all build test race race-dataplane bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline flow-soak drop-soak fuzz-diff profile-hotpath cover experiments examples health-smoke fmt vet lint clean
 
 # Benchmarks gated against BENCH_hotpath.json: the per-packet hot path
 # (strict 0 allocs/op) plus the whole-switch sharded/pipelined burst.
@@ -10,6 +10,12 @@ GATED_BENCH = BenchmarkHotPath|BenchmarkShardedThroughput|BenchmarkPipelinedThro
 # ns/op slack for bench-gate: CI hosts differ, so only a >3x slowdown
 # (tol 2.0 = baseline*(1+2.0)) fails; allocs/op regressions always fail.
 BENCH_TOL ?= 2.0
+# The gated benchmarks as three rounds of -count=1. One -count=3 run
+# times every count of a benchmark back to back, so its blocks sit
+# minutes apart and host drift in between lands in within-run ratios;
+# rounds interleave them. benchgate folds repeated names (min ns/op, max
+# allocs/op) and pairs them by round for -speedup.
+GATED_ROUNDS = for r in 1 2 3; do $(GO) test -run xxx -bench '$(GATED_BENCH)' -benchmem -count=1 . ; done
 
 all: build test
 
@@ -30,7 +36,7 @@ race-dataplane:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Steady-state forwarding benchmark, compiled executor vs the interpreter
+# Steady-state forwarding benchmark, fused executor vs the interpreter
 # oracle. Use -count and min-of-N when comparing: single runs are noisy.
 bench-hotpath:
 	$(GO) test -run xxx -bench 'BenchmarkHotPath' -benchmem -count=5 .
@@ -39,7 +45,7 @@ bench-hotpath:
 # reports the per-packet cost of forwarding with stamping compiled out.
 bench-int:
 	$(GO) test ./internal/ipbm/ -run TestIntDisabledZeroAlloc -count=1 -v
-	$(GO) test -run xxx -bench 'BenchmarkHotPath_Compiled' -benchmem -count=3 .
+	$(GO) test -run xxx -bench 'BenchmarkHotPath_Fused$$' -benchmem -count=3 .
 
 # Record the committed benchmark baseline (min over 5 runs). Run on a
 # quiet machine, then commit BENCH_hotpath.json.
@@ -52,24 +58,21 @@ bench-baseline:
 # fails; ns/op fails only beyond baseline*(1+BENCH_TOL).
 bench-gate:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
-	$(GO) test -run xxx -bench '$(GATED_BENCH)' -benchmem -count=3 . | bin/benchgate -check BENCH_hotpath.json -tol $(BENCH_TOL)
+	$(GATED_ROUNDS) | bin/benchgate -check BENCH_hotpath.json -tol $(BENCH_TOL)
 
-# Second-stage-compiler gate: runs the three executor tiers in ONE
-# `go test` invocation and asserts the within-run ordering, which is
-# machine-independent (the host's absolute speed cancels out of the
-# ratios): the fused tier must not lose to the flat-program VM (0.95
-# floor absorbs minute-scale host drift between the two benchmark
-# blocks) and must beat the tree interpreter by >= 1.25x on every use
-# case, at strictly zero allocations. Thresholds carry margin under the
-# measured ratios (fused/compiled ~1.1-1.15x, fused/interp ~1.5-1.6x;
-# see EXPERIMENTS.md) so gate failures mean a real tier regression, not
-# benchmark noise. The usual baseline comparison also runs, so the
+# Executor-tier gate: runs the fused tier and the interpreter oracle in
+# the same rounds and asserts the within-run ratio, which is
+# machine-independent (the host's absolute speed cancels out): the fused
+# tier must beat the tree interpreter by >= 1.25x on every use case, at
+# strictly zero allocations. The ratio is the median over rounds of each
+# round's own Interp/Fused ratio (benchgate -speedup pairs runs). The
+# floor carries margin under the measured ratio (see EXPERIMENTS.md) so a
+# failure means a real tier regression, not benchmark noise. The usual baseline comparison also runs, so the
 # committed allocs=0 / ns bounds still apply to the fused keys.
 bench-fused:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
-	$(GO) test -run xxx -bench '$(GATED_BENCH)' -benchmem -count=3 . \
+	$(GATED_ROUNDS) \
 		| bin/benchgate -check BENCH_hotpath.json -tol $(BENCH_TOL) \
-		-speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Compiled:0.95' \
 		-speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Interp:1.25'
 
 # Reconfiguration-storm gate: a sharded switch forwards through ~170
@@ -139,14 +142,10 @@ bench-drop-baseline:
 drop-soak:
 	$(GO) test -race -count=2 -run 'DropConservation|DropRing|DropAttribution' ./internal/ipbm/ ./internal/telemetry/
 
-# Differential fuzz: compiled executor vs interpreter on the full switch.
+# Differential fuzz: fused executor vs the interpreter oracle on the
+# full switch.
 fuzz-diff:
-	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzCompiledVsInterp -fuzztime 30s
-
-# Differential fuzz for the second-stage compiler: fused closures vs the
-# flat-program VM they were lowered from.
-fuzz-fused:
-	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzFusedVsCompiled -fuzztime 30s
+	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzFusedVsInterp -fuzztime 30s
 
 # Capture CPU and heap profiles of the fused hot path. The equivalent
 # for a live switch is `ipbm -cpuprofile cpu.out -memprofile mem.out`;

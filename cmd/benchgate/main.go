@@ -21,21 +21,24 @@
 //
 // A third check class, -speedup, compares two benchmark families within
 // the same run, so it is as machine-independent as allocs/op: the host's
-// absolute speed cancels out of the ratio. This is how the second-stage
-// compiler gate asserts the fused tier's ordering (fused at least as fast
-// as the flat-program VM, and decisively faster than the tree
-// interpreter) without depending on which box CI happens to land on.
+// absolute speed cancels out of the ratio. This is how bench-fused
+// asserts that the fused tier is decisively faster than the tree
+// interpreter without depending on which box CI happens to land on.
+// With repeated runs the ratio is the median over runs paired by
+// position (the k-th OLD run against the k-th NEW run): a min-over-runs
+// per side would compare one side's luckiest round against the other's
+// and fail whenever the host sped up for only one of them.
 //
-// Repeated runs of one benchmark (-count=N) are folded by taking the
-// minimum ns/op and the per-key maximum of allocs/op and custom metrics
-// (the pessimistic fold: one bad run out of five still fails a strict
-// gate).
+// Repeated runs of one benchmark (-count=N, or several go test rounds
+// piped into one benchgate) are folded by taking the minimum ns/op and
+// the per-key maximum of allocs/op and custom metrics (the pessimistic
+// fold: one bad run out of five still fails a strict gate).
 //
 // Usage:
 //
 //	go test -run xxx -bench BenchmarkHotPath -benchmem -count=5 . | benchgate -write BENCH_hotpath.json
 //	go test -run xxx -bench BenchmarkHotPath -benchmem -count=5 . | benchgate -check BENCH_hotpath.json -tol 2.0
-//	go test -run xxx -bench 'BenchmarkHotPath_(Interp|Compiled|Fused)$' -benchmem -count=3 . | \
+//	go test -run xxx -bench 'BenchmarkHotPath_(Interp|Fused)$' -benchmem -count=3 . | \
 //	  benchgate -check BENCH_hotpath.json -speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Interp:1.25'
 package main
 
@@ -58,6 +61,10 @@ type Result struct {
 	AllocsOp float64            `json:"allocs_op"`
 	BytesOp  float64            `json:"bytes_op"`
 	Extra    map[string]float64 `json:"extra,omitempty"` // custom b.ReportMetric units
+	// Runs is the ns/op of every occurrence in input order, so -speedup
+	// can pair the k-th run of two benchmarks (the same round when the
+	// input is several go test rounds). Not part of the baseline file.
+	Runs []float64 `json:"-"`
 }
 
 // Baseline is the committed JSON document.
@@ -253,21 +260,21 @@ func checkSpeedups(w io.Writer, current map[string]Result, reqs []speedupReq) in
 				failures++
 				continue
 			}
-			if old.NsOp <= 0 || cur.NsOp <= 0 {
+			ratio, n := speedupRatio(old, cur)
+			if ratio <= 0 {
 				fmt.Fprintf(w, "FAIL speedup %s: non-positive ns/op (%s %.1f, %s %.1f)\n",
 					req.newName, name, old.NsOp, newName, cur.NsOp)
 				failures++
 				continue
 			}
-			ratio := old.NsOp / cur.NsOp
 			if ratio < req.min {
-				fmt.Fprintf(w, "FAIL speedup %s/%s: %.2fx vs %s (%.1f / %.1f ns/op), need >= %.2fx\n",
-					req.newName, strings.TrimPrefix(suffix, "/"), ratio, req.oldName, old.NsOp, cur.NsOp, req.min)
+				fmt.Fprintf(w, "FAIL speedup %s/%s: %.2fx vs %s (median of %d paired runs; best %.1f / %.1f ns/op), need >= %.2fx\n",
+					req.newName, strings.TrimPrefix(suffix, "/"), ratio, req.oldName, n, old.NsOp, cur.NsOp, req.min)
 				failures++
 				continue
 			}
-			fmt.Fprintf(w, "ok   speedup %s%s: %.2fx vs %s (%.1f / %.1f ns/op, need >= %.2fx)\n",
-				req.newName, suffix, ratio, req.oldName, old.NsOp, cur.NsOp, req.min)
+			fmt.Fprintf(w, "ok   speedup %s%s: %.2fx vs %s (median of %d paired runs; best %.1f / %.1f ns/op, need >= %.2fx)\n",
+				req.newName, suffix, ratio, req.oldName, n, old.NsOp, cur.NsOp, req.min)
 		}
 		if matched == 0 {
 			fmt.Fprintf(w, "FAIL speedup %s=%s: no benchmark named %s or %s/<case> in this run\n",
@@ -276,6 +283,31 @@ func checkSpeedups(w io.Writer, current map[string]Result, reqs []speedupReq) in
 		}
 	}
 	return failures
+}
+
+// speedupRatio is old's ns/op over cur's: the median of the per-run
+// ratios when both carry the same number of runs, else the ratio of the
+// folded values (n = 1). Zero when any ns/op is not positive.
+func speedupRatio(old, cur Result) (ratio float64, n int) {
+	if len(old.Runs) < 2 || len(old.Runs) != len(cur.Runs) {
+		if old.NsOp <= 0 || cur.NsOp <= 0 {
+			return 0, 1
+		}
+		return old.NsOp / cur.NsOp, 1
+	}
+	ratios := make([]float64, len(old.Runs))
+	for k := range old.Runs {
+		if old.Runs[k] <= 0 || cur.Runs[k] <= 0 {
+			return 0, len(ratios)
+		}
+		ratios[k] = old.Runs[k] / cur.Runs[k]
+	}
+	sort.Float64s(ratios)
+	mid := len(ratios) / 2
+	if len(ratios)%2 == 1 {
+		return ratios[mid], len(ratios)
+	}
+	return (ratios[mid-1] + ratios[mid]) / 2, len(ratios)
 }
 
 // caseSuffix reports whether name is base itself or a base/<case>
@@ -291,7 +323,8 @@ func caseSuffix(name, base string) (string, bool) {
 }
 
 // parse folds `go test -bench` output into per-name Results, taking the
-// minimum over repeated runs of the same benchmark.
+// minimum over repeated runs of the same benchmark and keeping each
+// run's ns/op in Runs.
 //
 // `go test` merges the test binary's stderr into its stdout, so a switch
 // that logs during a benchmark splits the result line: the name is
@@ -300,7 +333,6 @@ func caseSuffix(name, base string) (string, bool) {
 // a pending name across log noise until its numbers show up.
 func parse(f io.Reader) (map[string]Result, error) {
 	out := make(map[string]Result)
-	seen := make(map[string]bool)
 	pending := ""
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -347,12 +379,13 @@ func parse(f io.Reader) (map[string]Result, error) {
 		if len(r.Extra) == 0 {
 			r.Extra = nil
 		}
-		if !seen[name] {
-			seen[name] = true
-			out[name] = r
-			continue
+		prev, ok := out[name]
+		runs := append(prev.Runs, r.NsOp)
+		if ok {
+			r = foldMin(prev, r)
 		}
-		out[name] = foldMin(out[name], r)
+		r.Runs = runs
+		out[name] = r
 	}
 	return out, sc.Err()
 }

@@ -38,12 +38,12 @@ ok  	ipsa	1.659s
 
 func TestCheckBaselineMissingKeysAggregated(t *testing.T) {
 	base := Baseline{Benchmarks: map[string]Result{
-		"BenchmarkHotPath_Compiled/C1": {NsOp: 1000},
-		"BenchmarkHotPath_Fused/C1":    {NsOp: 900},
-		"BenchmarkHotPath_Fused/C2":    {NsOp: 1100},
+		"BenchmarkHotPath_Interp/C1": {NsOp: 1000},
+		"BenchmarkHotPath_Fused/C1":  {NsOp: 900},
+		"BenchmarkHotPath_Fused/C2":  {NsOp: 1100},
 	}}
 	current := map[string]Result{
-		"BenchmarkHotPath_Compiled/C1": {NsOp: 1010},
+		"BenchmarkHotPath_Interp/C1": {NsOp: 1010},
 	}
 	var out strings.Builder
 	failures := checkBaseline(&out, base, current, 2.0)
@@ -134,5 +134,45 @@ func TestCheckSpeedups(t *testing.T) {
 	// A requirement matching nothing is a broken gate, not a pass.
 	if n, out := run(map[string]Result{"Other": {NsOp: 1}}); n != 1 || !strings.Contains(out, "no benchmark named") {
 		t.Errorf("no-match requirement not caught (failures=%d):\n%s", n, out)
+	}
+}
+
+// TestCheckSpeedupsPairsRuns: with repeated runs the speedup is the
+// median of ratios paired by run, so one side's lucky round does not
+// decide the gate — but a ratio that misses the floor in most rounds
+// still fails.
+func TestCheckSpeedupsPairsRuns(t *testing.T) {
+	reqs := []speedupReq{{newName: "BenchmarkFused", oldName: "BenchmarkInterp", min: 1.25}}
+	check := func(in string) (int, string) {
+		got, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		return checkSpeedups(&out, got, reqs), out.String()
+	}
+	// The host sped up for round 1's Interp but not its Fused: min/min
+	// would read 1100/1000 = 1.1x, while rounds 2 and 3 each read
+	// >= 1.5x.
+	if n, out := check(`
+BenchmarkInterp/C1-2  1000  1100 ns/op
+BenchmarkFused/C1-2   1000  1000 ns/op
+BenchmarkInterp/C1-2  1000  3000 ns/op
+BenchmarkFused/C1-2   1000  2000 ns/op
+BenchmarkInterp/C1-2  1000  3200 ns/op
+BenchmarkFused/C1-2   1000  2000 ns/op
+`); n != 0 || !strings.Contains(out, "median of 3 paired runs") {
+		t.Errorf("paired rounds reported %d failures:\n%s", n, out)
+	}
+	// Two rounds of three below the floor fail.
+	if n, out := check(`
+BenchmarkInterp/C1-2  1000  1200 ns/op
+BenchmarkFused/C1-2   1000  1000 ns/op
+BenchmarkInterp/C1-2  1000  2000 ns/op
+BenchmarkFused/C1-2   1000  1000 ns/op
+BenchmarkInterp/C1-2  1000  1100 ns/op
+BenchmarkFused/C1-2   1000  1000 ns/op
+`); n != 1 {
+		t.Errorf("slow median not caught (failures=%d):\n%s", n, out)
 	}
 }

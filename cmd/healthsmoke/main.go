@@ -126,17 +126,38 @@ func run(testdata string, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
+	// The base routes forward to port 3. A peer must drain it, or its tx
+	// queue fills and every later frame is a tx drop — a real loss the
+	// post-apply spike detector rightly reports. DrainBlocking returns
+	// false once Shutdown closes the port.
+	outPort, err := sw.Ports().Port(3)
+	if err != nil {
+		return err
+	}
+	go func() {
+		for {
+			if _, ok := outPort.DrainBlocking(); !ok {
+				return
+			}
+		}
+	}()
+	// Paced injection (injectPerTick frames per millisecond): an
+	// unpaced loop outruns the switch and the peer and turns the smoke
+	// into an overload test.
+	const injectPerTick = 32
 	stopInject := make(chan struct{})
 	defer close(stopInject)
 	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
 		for {
 			select {
 			case <-stopInject:
 				return
-			default:
+			case <-tick.C:
 			}
-			if !inPort.Inject(gen.Next()) {
-				time.Sleep(time.Millisecond)
+			for i := 0; i < injectPerTick; i++ {
+				inPort.Inject(gen.Next())
 			}
 		}
 	}()

@@ -26,7 +26,6 @@ import (
 	"ipsa/internal/netio"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
-	"ipsa/internal/tsp"
 )
 
 func main() {
@@ -45,7 +44,6 @@ func main() {
 	traceRing := flag.Int("trace-ring", 256, "flight-recorder ring size")
 	latencyEvery := flag.Uint64("latency-every", 128,
 		"sample per-TSP latency every N packets; 0 disables")
-	execFlag := flag.String("exec", "fused", "stage executor: fused (second-stage compiled closures), compiled (flat-program VM) or interp (reference tree-walker)")
 	intOn := flag.Bool("int", false, "enable in-band telemetry stamping at startup (also togglable at runtime via rp4ctl int enable/disable)")
 	intSwitchID := flag.Uint("int-switch-id", 1, "switch ID stamped into INT hop records")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -73,10 +71,6 @@ func main() {
 	}
 	defer stopProfiles()
 
-	execMode, err := tsp.ParseExecMode(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
 	opts := ipbm.DefaultOptions()
 	opts.Logger = logger
 	opts.HealthInterval = *healthInterval
@@ -85,7 +79,6 @@ func main() {
 	opts.TraceEvery = *traceEvery
 	opts.TraceRing = *traceRing
 	opts.LatencyEvery = *latencyEvery
-	opts.Exec = execMode
 	opts.IntSwitchID = uint32(*intSwitchID)
 	opts.FlowTableBits = *flowBits
 	opts.FlowIdle = *flowIdle

@@ -22,7 +22,6 @@ import (
 	"ipsa/internal/pisa"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
-	"ipsa/internal/tsp"
 )
 
 // device adapts pisa.Switch to the full ctrlplane.Device interface and
@@ -53,7 +52,6 @@ func main() {
 	ingress := flag.Int("ingress-stages", 12, "fixed ingress stage count")
 	egress := flag.Int("egress-stages", 4, "fixed egress stage count")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /health JSON); empty disables")
-	execFlag := flag.String("exec", "fused", "stage executor: fused (second-stage compiled closures), compiled (flat-program VM) or interp (reference tree-walker)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()
@@ -64,14 +62,9 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	execMode, err := tsp.ParseExecMode(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
 	opts := pisa.DefaultOptions()
 	opts.IngressStages = *ingress
 	opts.EgressStages = *egress
-	opts.Exec = execMode
 	opts.Logger = logger
 	sw, err := pisa.New(opts)
 	if err != nil {

@@ -15,19 +15,16 @@ import (
 	"ipsa/internal/tsp"
 )
 
-// The flat-program VM and the fused second-stage closures are
-// optimizations over the reference tree interpreter; all three executor
-// tiers must be bit-for-bit equivalent. These tests hold that line two
-// ways: differential fuzz targets over arbitrary packet bytes (compiled
-// vs interp, and fused vs the compiled programs it was lowered from),
-// and a deterministic three-way sweep over every shipped example design
-// with realistic traffic.
+// The fused closures are an optimization over the reference tree
+// interpreter; the two executor tiers must be bit-for-bit equivalent.
+// These tests hold that line two ways: a differential fuzz target over
+// arbitrary packet bytes, and a deterministic sweep over every shipped
+// example design with realistic traffic.
 
 var (
 	diffFuzzOnce sync.Once
-	diffFuzzA    *Switch // compiled
-	diffFuzzB    *Switch // interpreter oracle
-	diffFuzzC    *Switch // fused second-stage closures
+	diffFuzzF    *Switch // fused closures
+	diffFuzzI    *Switch // interpreter oracle
 )
 
 // faultSnapshot flattens the executor fault counters for comparison.
@@ -40,36 +37,36 @@ func faultSnapshot(sw *Switch) [3]uint64 {
 	}
 }
 
-// diffFuzzBringUp builds a compiled/interpreter/fused switch triple
-// running the SRv6 design (the largest parsing surface) with populated
+// diffFuzzBringUp builds a fused/interpreter switch pair running the
+// SRv6 design (the largest parsing surface) with populated
 // base tables. No testing.T plumbing so it can run inside the fuzz
 // engine's worker.
-func diffFuzzBringUp() (*Switch, *Switch, *Switch, error) {
+func diffFuzzBringUp() (*Switch, *Switch, error) {
 	read := func(name string) (string, error) {
 		b, err := os.ReadFile(filepath.Join("../../testdata", name))
 		return string(b), err
 	}
 	src, err := read("base_l2l3.rp4")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	prog, err := parser.Parse("base_l2l3.rp4", src)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	copts := backend.DefaultOptions()
 	copts.NumTSPs = 16
 	w, err := backend.NewWorkspace(prog, copts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	scriptSrc, err := read("srv6.script")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rep, err := w.ApplyScript(scriptSrc, read)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	mk := func(mode tsp.ExecMode) (*Switch, error) {
 		o := DefaultOptions()
@@ -86,19 +83,15 @@ func diffFuzzBringUp() (*Switch, *Switch, *Switch, error) {
 		}
 		return sw, nil
 	}
-	a, err := mk(tsp.ExecCompiled)
+	fused, err := mk(tsp.ExecFused)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	b, err := mk(tsp.ExecInterp)
+	interp, err := mk(tsp.ExecInterp)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	c, err := mk(tsp.ExecFused)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return a, b, c, nil
+	return fused, interp, nil
 }
 
 // comparePacket demands identical observable outcomes from two executor
@@ -118,11 +111,12 @@ func comparePacket(aName, bName string, pa, pb *pkt.Packet) error {
 	return nil
 }
 
-// FuzzCompiledVsInterp feeds arbitrary packet bytes through the compiled
-// and interpreter executors and demands bit-identical outcomes, including
-// the fault counters (faults are part of the observable contract). Under
-// plain `go test` the seed corpus runs as regression tests.
-func FuzzCompiledVsInterp(f *testing.F) {
+// FuzzFusedVsInterp feeds arbitrary packet bytes through the fused and
+// interpreter executors and demands bit-identical outcomes — packet
+// bytes, metadata, verdict and egress port — including the fault
+// counters (faults are part of the observable contract). Under plain
+// `go test` the seed corpus runs as regression tests.
+func FuzzFusedVsInterp(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0, 0, 0, 0, 1}, uint8(1))
 	srv6, _ := pkt.Serialize(
@@ -141,91 +135,32 @@ func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add(v4[:16], uint8(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, port uint8) {
-		diffFuzzOnce.Do(func() { diffFuzzA, diffFuzzB, diffFuzzC, _ = diffFuzzBringUp() })
-		if diffFuzzA == nil || diffFuzzB == nil {
+		diffFuzzOnce.Do(func() { diffFuzzF, diffFuzzI, _ = diffFuzzBringUp() })
+		if diffFuzzF == nil || diffFuzzI == nil {
 			t.Skip("switch bring-up failed")
 		}
 		in := int(port) % 8
-		pa, err := diffFuzzA.ProcessPacket(append([]byte(nil), data...), in)
-		if err != nil {
-			t.Fatalf("compiled ProcessPacket: %v", err)
-		}
-		pb, err := diffFuzzB.ProcessPacket(append([]byte(nil), data...), in)
-		if err != nil {
-			t.Fatalf("interp ProcessPacket: %v", err)
-		}
-		if err := comparePacket("compiled", "interp", pa, pb); err != nil {
-			t.Fatal(err)
-		}
-		if fa, fb := faultSnapshot(diffFuzzA), faultSnapshot(diffFuzzB); fa != fb {
-			t.Fatalf("fault counters diverged: compiled=%v interp=%v (invalid_header, register, bad_template)", fa, fb)
-		}
-	})
-}
-
-// FuzzFusedVsCompiled holds the second-stage compiler to the same line:
-// the fused closures must be bit-for-bit equivalent — outcomes and fault
-// counters — to the flat programs they were lowered from, on arbitrary
-// packet bytes. Under plain `go test` the seed corpus runs as regression
-// tests.
-func FuzzFusedVsCompiled(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{0x02, 0, 0, 0, 0, 1}, uint8(1))
-	srv6, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
-		&pkt.IPv6{NextHeader: pkt.IPProtoRouting, HopLimit: 64},
-		&pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{{1}, {2}}},
-		&pkt.TCP{SrcPort: 1, DstPort: 2},
-	)
-	f.Add(srv6, uint8(1))
-	v4 := []byte{
-		0x02, 0, 0, 0, 0, 0x01, 0x02, 0, 0, 0, 0, 0x02, 0x08, 0x00,
-		0x45, 0, 0, 20, 0, 0, 0, 0, 64, 6, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
-	}
-	f.Add(v4, uint8(1))
-	// Truncated v4 header: exercises the invalid-header fault paths.
-	f.Add(v4[:16], uint8(1))
-
-	f.Fuzz(func(t *testing.T, data []byte, port uint8) {
-		diffFuzzOnce.Do(func() { diffFuzzA, diffFuzzB, diffFuzzC, _ = diffFuzzBringUp() })
-		if diffFuzzA == nil || diffFuzzC == nil {
-			t.Skip("switch bring-up failed")
-		}
-		in := int(port) % 8
-		// The compiled switch is shared with FuzzCompiledVsInterp, so its
-		// absolute fault totals include that target's traffic; compare the
-		// per-packet deltas instead.
-		beforeC, beforeA := faultSnapshot(diffFuzzC), faultSnapshot(diffFuzzA)
-		pc, err := diffFuzzC.ProcessPacket(append([]byte(nil), data...), in)
+		pf, err := diffFuzzF.ProcessPacket(append([]byte(nil), data...), in)
 		if err != nil {
 			t.Fatalf("fused ProcessPacket: %v", err)
 		}
-		pa, err := diffFuzzA.ProcessPacket(append([]byte(nil), data...), in)
+		pi, err := diffFuzzI.ProcessPacket(append([]byte(nil), data...), in)
 		if err != nil {
-			t.Fatalf("compiled ProcessPacket: %v", err)
+			t.Fatalf("interp ProcessPacket: %v", err)
 		}
-		if err := comparePacket("fused", "compiled", pc, pa); err != nil {
+		if err := comparePacket("fused", "interp", pf, pi); err != nil {
 			t.Fatal(err)
 		}
-		dc, da := faultDelta(faultSnapshot(diffFuzzC), beforeC), faultDelta(faultSnapshot(diffFuzzA), beforeA)
-		if dc != da {
-			t.Fatalf("fault counters diverged: fused=%v compiled=%v (invalid_header, register, bad_template)", dc, da)
+		if ff, fi := faultSnapshot(diffFuzzF), faultSnapshot(diffFuzzI); ff != fi {
+			t.Fatalf("fault counters diverged: fused=%v interp=%v (invalid_header, register, bad_template)", ff, fi)
 		}
 	})
 }
 
-// faultDelta subtracts a prior fault snapshot from a later one.
-func faultDelta(after, before [3]uint64) [3]uint64 {
-	for i := range after {
-		after[i] -= before[i]
-	}
-	return after
-}
-
 // TestDifferentialCompiledVsInterp sweeps every shipped design: for
-// each, switches on all three executor tiers — fused closures, the
-// flat-program VM and the reference interpreter — process the same
-// realistic traffic mix and must agree on every outcome and fault count.
+// each, a switch on the compiled (fused-closure) tier and one on the
+// reference interpreter process the same realistic traffic mix and must
+// agree on every outcome and fault count.
 func TestDifferentialCompiledVsInterp(t *testing.T) {
 	designs := []struct {
 		name   string
@@ -275,19 +210,11 @@ func TestDifferentialCompiledVsInterp(t *testing.T) {
 				}
 				return sw
 			}
-			a := mk(tsp.ExecCompiled)
-			b := mk(tsp.ExecInterp)
-			c := mk(tsp.ExecFused)
-			runDiff(t, a, b, diffTraffic(t, 48), d.name+" compiled vs interp")
-			if fa, fb := faultSnapshot(a), faultSnapshot(b); fa != fb {
-				t.Fatalf("%s: fault counters diverged: compiled=%v interp=%v", d.name, fa, fb)
-			}
-			// The compiled switch sees the traffic a second time here, so
-			// compare this round's fault delta against the fused totals.
-			preA := faultSnapshot(a)
-			runDiff(t, c, a, diffTraffic(t, 48), d.name+" fused vs compiled")
-			if fc, fa := faultSnapshot(c), faultDelta(faultSnapshot(a), preA); fc != fa {
-				t.Fatalf("%s: fault counters diverged: fused=%v compiled=%v", d.name, fc, fa)
+			f := mk(tsp.ExecFused)
+			i := mk(tsp.ExecInterp)
+			runDiff(t, f, i, diffTraffic(t, 48), d.name+" fused vs interp")
+			if ff, fi := faultSnapshot(f), faultSnapshot(i); ff != fi {
+				t.Fatalf("%s: fault counters diverged: fused=%v interp=%v", d.name, ff, fi)
 			}
 		})
 	}

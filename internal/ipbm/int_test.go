@@ -130,9 +130,9 @@ func TestIntEndToEnd(t *testing.T) {
 }
 
 // TestIntDifferentialCompiledVsInterp: with a deterministic clock and
-// queue-depth source injected into both switches, the compiled IntStamp
-// op and the interpreter epilogue must produce byte-identical packets
-// and hop-identical sink reports.
+// queue-depth source injected into both switches, the fused IntStamp
+// closure and the interpreter epilogue must produce byte-identical
+// packets and hop-identical sink reports.
 func TestIntDifferentialCompiledVsInterp(t *testing.T) {
 	interpOpts := DefaultOptions()
 	interpOpts.Exec = tsp.ExecInterp
@@ -145,11 +145,11 @@ func TestIntDifferentialCompiledVsInterp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runDiff(t, a, b, diffTraffic(t, 48), "INT compiled vs interp")
+	runDiff(t, a, b, diffTraffic(t, 48), "INT fused vs interp")
 
 	ra, rb := a.IntReport(0), b.IntReport(0)
 	if len(ra) == 0 || len(ra) != len(rb) {
-		t.Fatalf("report counts diverged: compiled=%d interp=%d", len(ra), len(rb))
+		t.Fatalf("report counts diverged: fused=%d interp=%d", len(ra), len(rb))
 	}
 	for i := range ra {
 		ha, hb := ra[i].Hops, rb[i].Hops
@@ -158,7 +158,7 @@ func TestIntDifferentialCompiledVsInterp(t *testing.T) {
 		}
 		for j := range ha {
 			if ha[j] != hb[j] {
-				t.Fatalf("report %d hop %d diverged:\ncompiled: %+v\ninterp:   %+v",
+				t.Fatalf("report %d hop %d diverged:\nfused:  %+v\ninterp: %+v",
 					i, j, ha[j], hb[j])
 			}
 		}

@@ -51,8 +51,8 @@ type Options struct {
 	// a histogram update per active TSP; at the ipbm daemon's 1-in-128
 	// default that amortizes to well under a percent of a ~2µs forward.
 	LatencyEvery uint64
-	// Exec selects the stage executor: the compiled flat-program runner
-	// (default) or the tree-walking reference interpreter.
+	// Exec selects the stage executor: fused closures (default) or the
+	// tree-walking reference interpreter.
 	Exec tsp.ExecMode
 
 	// IntSwitchID identifies this switch in INT hop records.

@@ -235,9 +235,9 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	}
 
 	// Executor tier, build_info style: a constant-1 gauge whose label says
-	// which of the three stage executors (fused second-stage closures, the
-	// flat-program VM, or the reference interpreter) this switch runs, so
-	// dashboards comparing hosts can tell tier apart from hardware.
+	// which stage executor (fused closures, or the reference interpreter)
+	// this switch runs, so dashboards comparing hosts can tell tier apart
+	// from hardware.
 	gauge("ipsa_exec_tier", 1, telemetry.L("tier", s.opts.Exec.String()))
 
 	// Pipeline module.

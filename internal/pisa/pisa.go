@@ -40,7 +40,7 @@ type Options struct {
 	StageBlocks int
 	// BlockWidth/BlockDepth size one memory block (bits × entries).
 	BlockWidth, BlockDepth int
-	// Exec selects the stage executor (compiled by default; the
+	// Exec selects the stage executor (fused closures by default; the
 	// tree-walking interpreter for differential testing).
 	Exec tsp.ExecMode
 	// IntSwitchID identifies this switch in INT hop records.

@@ -112,10 +112,10 @@ type Cond struct {
 	Val    bool         `json:"val,omitempty"`
 }
 
-// InstrOp is an executor instruction opcode.
+// InstrOp names the operation of an action-body instruction.
 type InstrOp string
 
-// Instruction opcodes. srh_advance/srh_pop are the SRv6 endpoint action
+// Instruction operations. srh_advance/srh_pop are the SRv6 endpoint action
 // primitives; drop/to_cpu set intrinsic metadata.
 const (
 	IAssign     InstrOp = "assign"

@@ -1,16 +1,16 @@
 package tsp
 
-// fuse.go is the second-stage compiler: it lowers a stage past the flat
-// program of compile.go into fused native Go closures. Where the VM pays
-// one dispatch per instruction, the fused tier pays one indirect call per
-// template *node*, built once at bind time: constant subtrees are folded,
-// field offsets are burned into the closure, byte-aligned loads/stores
-// skip the generic bit helpers, and table applies capture their slot in
-// the compiled program's handle arrays (filled by Bind) so per-packet
+// fuse.go is the production executor: it lowers a stage template into
+// fused native Go closures. Where the interpreter re-dispatches on every
+// IR node per packet, the fused tier pays one indirect call per template
+// *node*, built once at bind time: constant subtrees are folded, field
+// offsets are burned into the closure, byte-aligned loads/stores skip the
+// generic bit helpers, and table applies capture their slot in the
+// stage's handle arrays (compile.go, filled by Bind) so per-packet
 // applies are a direct call through the same applyTableWith funnel as the
-// VM. Fault-counter side effects and evaluation order mirror exec.go and
+// interpreter. Fault-counter side effects and evaluation order mirror
 // interp.go exactly; the differential fuzz (internal/ipbm) guards drift
-// across all three tiers.
+// between the two tiers.
 
 import (
 	"encoding/binary"
@@ -20,8 +20,8 @@ import (
 	"ipsa/internal/template"
 )
 
-// The closure kinds. A fusedVal pushes nothing: it *returns* the value
-// the VM would leave on its stack.
+// The closure kinds. A fusedVal returns the value the interpreter's
+// EvalExpr would.
 type (
 	fusedVal   func(*Env) uint64
 	fusedCond  func(*Env) bool
@@ -30,7 +30,7 @@ type (
 )
 
 // fusedProg is a stage lowered to closures. arms is parallel to
-// template.Stage.Arms (sharing indices with the VM's dispatch); nil
+// template.Stage.Arms (sharing indices with stageProg's dispatch); nil
 // entries are empty bodies. post is the INT epilogue, when built with it.
 type fusedProg struct {
 	match fusedMatch
@@ -44,10 +44,10 @@ type fuser struct {
 	tblIdx map[string]int
 }
 
-// fuseStage lowers a compiled stage to closures. It requires sr.prog: the
-// fused tier reuses the flat program's table list, key plans and
-// bind-time handle arrays (closures capture the prog pointer, so handles
-// resolved by Bind after fusing are visible without a rebuild).
+// fuseStage lowers a bound stage to closures. It requires sr.prog: the
+// closures index its table list, key plans and bind-time handle arrays
+// (they capture the prog pointer, so handles resolved by Bind after
+// fusing are visible without a rebuild).
 func fuseStage(sr *StageRuntime) *fusedProg {
 	f := &fuser{sr: sr, prog: sr.prog, tblIdx: make(map[string]int, len(sr.prog.tables))}
 	for i, t := range sr.prog.tables {
@@ -199,6 +199,16 @@ func bitSpanOf(off, w int) (bitSpan, bool) {
 	return bitSpan{firstByte: first, nb: nb, slack: uint(nb*8 - off%8 - w), mask: mask}, true
 }
 
+// clamp64 mirrors ReadOperand's wide-field truncation: reads wider than 64
+// bits take the low 64 bits.
+func clamp64(off, w int) (int, int) {
+	if w > 64 {
+		off += w - 64
+		w = 64
+	}
+	return off, w
+}
+
 // fuseMetaLoad lowers a metadata read (offsets pre-clamped by clamp64).
 func fuseMetaLoad(off, w int) fusedVal {
 	if sp, ok := bitSpanOf(off, w); ok {
@@ -224,8 +234,8 @@ func fuseMetaLoad(off, w int) fusedVal {
 }
 
 // fuseHdrLoad lowers a header-field read. The location lookup replaces
-// the VM's Valid check + FieldBits re-lookup with one Loc call; the
-// observable fault sequence is identical. The in-header bit offset is
+// the interpreter's Valid check + FieldBits re-lookup with one Loc call;
+// the observable fault sequence is identical. The in-header bit offset is
 // constant, so the sub-byte alignment (and hence the shift and mask) is
 // known at fuse time even though the header's packet offset is not.
 func fuseHdrLoad(id pkt.HeaderID, off, w int) fusedVal {
@@ -285,19 +295,19 @@ func (f *fuser) fuseOperand(o *template.Operand) (fn fusedVal, konst bool, kv ui
 		}, false, 0
 	case template.OpdMeta:
 		off, w := clamp64(o.BitOff, o.Width)
-		return fuseMetaLoad(int(off), int(w)), false, 0
+		return fuseMetaLoad(off, w), false, 0
 	case template.OpdHeader:
 		off, w := clamp64(o.BitOff, o.Width)
-		return fuseHdrLoad(o.Header, int(off), int(w)), false, 0
+		return fuseHdrLoad(o.Header, off, w), false, 0
 	}
 	return faultZeroVal, false, 0
 }
 
 // fuseBin lowers one arithmetic node over already-fused children; known
 // reports whether the operator exists (unknown operators keep the
-// children's side effects and fault, like the VM's opFaultZero tail).
-// Division, modulo and shift semantics match exec.go: x/0 == x%0 == 0,
-// shifts of 64 or more yield 0.
+// children's side effects and fault, like the interpreter). Division,
+// modulo and shift semantics match interp.go: x/0 == x%0 == 0, shifts of
+// 64 or more yield 0.
 func fuseBin(op template.ArithOp, a, b fusedVal) (fusedVal, bool) {
 	switch op {
 	case template.OpAdd:
@@ -492,10 +502,10 @@ func (f *fuser) fuseCond(c *template.Cond) (fusedCond, bool, bool) {
 }
 
 // fuseMetaStore lowers a narrow (<=64-bit) metadata store. The source is
-// evaluated before the bounds check, matching the VM's evaluate-then-
-// store order. Aligned whole-byte stores write directly; any other
-// constant span of at most 8 bytes becomes a read-modify-write splice
-// with fuse-time masks — the same bytes SetBits produces.
+// evaluated before the bounds check, matching the interpreter's
+// evaluate-then-store order. Aligned whole-byte stores write directly;
+// any other constant span of at most 8 bytes becomes a read-modify-write
+// splice with fuse-time masks — the same bytes SetBits produces.
 func fuseMetaStore(off, w int, src fusedVal) fusedStmt {
 	if alignedByteSpan(off, w) {
 		byteOff, nb := off/8, w/8
@@ -588,10 +598,10 @@ func fuseHdrStore(id pkt.HeaderID, off, w int, src fusedVal) fusedStmt {
 	}
 }
 
-// fuseAssign mirrors compiler.assign: wide field-to-field copies escape
-// to the interpreter's byte-granular execAssign, wide numeric stores to
-// the shared storeMetaWide/storeHdrWide helpers, everything else to a
-// direct store closure.
+// fuseAssign lowers one assignment: wide field-to-field copies escape to
+// the interpreter's byte-granular execAssign, wide numeric stores to the
+// storeMetaWide/storeHdrWide helpers, everything else to a direct store
+// closure.
 func (f *fuser) fuseAssign(in *template.Instr) fusedStmt {
 	if in.Dst.Width > 64 && in.Src != nil && in.Src.Kind == template.ExprOperand &&
 		in.Src.Operand != nil && in.Src.Operand.Width == in.Dst.Width {
@@ -614,7 +624,7 @@ func (f *fuser) fuseAssign(in *template.Instr) fusedStmt {
 		return fuseHdrStore(in.Dst.Header, in.Dst.BitOff, in.Dst.Width, src)
 	}
 	// Unknown destination kind: evaluate the source (for its side
-	// effects), then fault — the VM's pop+opFault sequence.
+	// effects), then fault, like the interpreter.
 	return func(e *Env) {
 		src(e)
 		e.Faults.BadTemplate.Add(1)
@@ -1073,8 +1083,8 @@ func fuseHashSteps(kp *keyPlan) []fusedHashStep {
 }
 
 // fuseMatchStmts lowers the matcher. Applies funnel through the same
-// applyTableWith as the VM and interpreter, reading the handle slots of
-// the captured compiled program — Bind fills those after fusing, so
+// applyTableWith as the interpreter, reading the handle slots of the
+// captured stageProg — Bind fills those after fusing, so
 // closures see bind-time handles with no rebuild.
 func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 	if len(stmts) == 0 {
@@ -1115,8 +1125,8 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 			}
 			if idx < 0 {
 				// Unknown table: one BadTemplate per attempt, whether or
-				// not a table already applied — the VM's double check
-				// collapses to a single fault either way.
+				// not a table already applied — the interpreter's double
+				// check collapses to a single fault either way.
 				parts = append(parts, func(e *Env, _ TableBackend, _ *matchOutcome) {
 					e.Faults.BadTemplate.Add(1)
 				})
@@ -1254,5 +1264,44 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 		for _, p := range parts {
 			p(e, b, out)
 		}
+	}
+}
+
+// storeMetaWide mirrors WriteOperand's >64-bit metadata path: zero the
+// high part, store the low 64 bits.
+func (e *Env) storeMetaWide(off, w int, v uint64) {
+	for rem, ro := w-64, off; rem > 0; {
+		chunk := rem
+		if chunk > 64 {
+			chunk = 64
+		}
+		_ = e.Pkt.SetMetaBits(ro, chunk, 0)
+		ro += chunk
+		rem -= chunk
+	}
+	off += w - 64
+	if err := e.Pkt.SetMetaBits(off, 64, v); err != nil {
+		e.Faults.BadTemplate.Add(1)
+	}
+}
+
+// storeHdrWide mirrors WriteOperand's >64-bit header path.
+func (e *Env) storeHdrWide(hdr pkt.HeaderID, off, w int, v uint64) {
+	if !e.Pkt.HV.Valid(hdr) {
+		e.Faults.InvalidHeaderAccess.Add(1)
+		return
+	}
+	for rem, ro := w-64, off; rem > 0; {
+		chunk := rem
+		if chunk > 64 {
+			chunk = 64
+		}
+		_ = e.Pkt.SetFieldBits(hdr, ro, chunk, 0)
+		ro += chunk
+		rem -= chunk
+	}
+	off += w - 64
+	if err := e.Pkt.SetFieldBits(hdr, off, 64, v); err != nil {
+		e.Faults.BadTemplate.Add(1)
 	}
 }

@@ -77,15 +77,10 @@ type Env struct {
 	// fused tier hands its address to closure calls: a stack-local would
 	// be forced to escape (one heap allocation per stage per packet).
 	matchOut matchOutcome
-
-	// stack is the operand stack of the compiled executor, sized to the
-	// deepest program of the stage about to run (see ensureStack).
-	stack []uint64
 }
 
 // Rebind prepares a (possibly pooled) Env for a new packet under the given
-// design, clearing all per-packet state while keeping scratch buffers and
-// the operand stack.
+// design, clearing all per-packet state while keeping scratch buffers.
 func (e *Env) Rebind(regs *RegisterFile, faults *Faults, srh, ipv6 pkt.HeaderID) {
 	e.Pkt = nil
 	e.Params = nil
@@ -100,12 +95,6 @@ func (e *Env) Rebind(regs *RegisterFile, faults *Faults, srh, ipv6 pkt.HeaderID)
 	e.Lane = 0
 	e.statTbl = nil
 	e.statHits, e.statMisses = 0, 0
-}
-
-func (e *Env) ensureStack(n int) {
-	if len(e.stack) < n {
-		e.stack = make([]uint64, n)
-	}
 }
 
 const fnvOffset64 = 14695981039346656037
@@ -371,7 +360,7 @@ func (e *Env) EvalCond(c *template.Cond) bool {
 	return false
 }
 
-// markDrop is the one drop site shared by all three executor tiers: it
+// markDrop is the one drop site shared by both executor tiers: it
 // sets the Drop flag and istd.drop bit as before, and stamps the
 // structured loss attribution — the reason (a stage drop action is an
 // intentional, ACL-style drop) and the stage (the TSP this Env is

@@ -85,14 +85,12 @@ type StageRuntime struct {
 	tables  map[string]*template.Table
 	actions map[string]*template.Action
 
-	// prog, when non-nil, is the flat instruction program lowered from the
-	// template at bind time (ExecCompiled and ExecFused). Nil selects the
-	// reference tree interpreter (ExecInterp).
-	prog *stageProg
-
-	// fused, when non-nil, is the second-stage lowering of prog to native
-	// Go closures (ExecFused; see fuse.go). It shares prog's table list,
-	// key plans and bind-time handles.
+	// prog and fused are the production tier, built at bind time: prog
+	// holds the stage's table list, key plans and bind-time handles, and
+	// fused the closures lowered from the template that capture them (see
+	// fuse.go). Both nil selects the reference tree interpreter
+	// (ExecInterp).
+	prog  *stageProg
 	fused *fusedProg
 
 	// pfTable/pfPlan drive the batch executor's one-packet-ahead software
@@ -101,8 +99,8 @@ type StageRuntime struct {
 	pfTable Prefetcher
 	pfPlan  *keyPlan
 
-	// intStamp/intStageID are the interpreter's INT epilogue (compiled
-	// stages carry it as prog.post instead); set by NewStageRuntimeOpts.
+	// intStamp/intStageID are the interpreter's INT epilogue (fused
+	// stages carry it as fused.post instead); set by NewStageRuntimeOpts.
 	intStamp   bool
 	intStageID uint16
 
@@ -120,15 +118,27 @@ type StageRuntime struct {
 }
 
 // NewStageRuntime binds a stage template to its design's tables/actions,
-// lowering it through both compile stages to fused closures (the default
-// executor).
+// lowering it to fused closures (the default executor).
 func NewStageRuntime(cfg *template.Config, name string) (*StageRuntime, error) {
-	return NewStageRuntimeMode(cfg, name, ExecFused)
+	return NewStageRuntimeOpts(cfg, name, BuildOpts{})
 }
 
-// NewStageRuntimeMode binds a stage template with an explicit executor
-// mode; ExecInterp keeps the tree-walking reference interpreter.
-func NewStageRuntimeMode(cfg *template.Config, name string, mode ExecMode) (*StageRuntime, error) {
+// BuildOpts selects how stage runtimes are constructed: which executor,
+// and whether each stage gets the INT stamping epilogue. The zero value
+// is the default build (fused closures, INT off).
+type BuildOpts struct {
+	Mode ExecMode
+	// Int gives every stage the IntStamp epilogue: a fused post closure,
+	// or the equivalent interpreter flag. Enabling or disabling it is
+	// therefore an in-situ rewrite of the stage programs, not a runtime
+	// branch flip.
+	Int bool
+}
+
+// NewStageRuntimeOpts binds a stage template to its design's
+// tables/actions with full build options; Mode ExecInterp keeps the
+// tree-walking reference interpreter.
+func NewStageRuntimeOpts(cfg *template.Config, name string, opts BuildOpts) (*StageRuntime, error) {
 	st, ok := cfg.Stages[name]
 	if !ok {
 		return nil, fmt.Errorf("tsp: no stage %q in config", name)
@@ -160,24 +170,23 @@ func NewStageRuntimeMode(cfg *template.Config, name string, mode ExecMode) (*Sta
 		}
 		sr.parseMask |= 1 << uint(id)
 	}
-	switch mode {
-	case ExecCompiled:
-		sr.prog = compileStage(sr)
-	case ExecFused:
+	if opts.Mode == ExecFused {
 		sr.prog = compileStage(sr)
 		sr.fused = fuseStage(sr)
+	}
+	if opts.Int {
+		id := IntStageID(name)
+		if sr.fused != nil {
+			sr.fused.post = func(e *Env) { e.intStamp(id) }
+		} else {
+			sr.intStamp = true
+			sr.intStageID = id
+		}
 	}
 	return sr, nil
 }
 
-// Compiled reports whether the stage runs a compiled program (flat VM or
-// fused closures) rather than the tree interpreter.
-func (sr *StageRuntime) Compiled() bool { return sr.prog != nil }
-
-// Fused reports whether the stage runs the fused-closure tier.
-func (sr *StageRuntime) Fused() bool { return sr.fused != nil }
-
-// Bind resolves the compiled program's table references against the
+// Bind resolves the fused program's table references against the
 // backend, if it supports direct handles. Called at apply time after the
 // backend's tables exist; a no-op for the interpreter (whose applies stay
 // name-keyed) and for backends without a resolver. Handles stay valid
@@ -398,18 +407,15 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 		if sr.fused.match != nil {
 			sr.fused.match(env, backend, out)
 		}
-	} else if sr.prog != nil {
-		env.ensureStack(sr.prog.maxStack)
-		env.exec(sr.prog.match, sr.prog, backend, out)
 	} else {
 		sr.runMatch(sr.tmpl.Match, env, backend, out)
 	}
 	// Executor submodule: select the arm by the matched entry's tag;
-	// misses and no-apply paths take the default arm. Compiled programs
-	// carry a precomputed dispatch table; the interpreter scans the
+	// misses and no-apply paths take the default arm. The fused tier
+	// carries a precomputed dispatch table; the interpreter scans the
 	// template's arm list. Both pick the last declaration on a tie.
 	armIdx, defIdx := -1, -1
-	if sr.prog != nil {
+	if sr.fused != nil {
 		defIdx = sr.prog.defaultArm
 		if out.applied && out.hit {
 			// Backwards with early exit: the first match from the end is
@@ -455,10 +461,6 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 				arm(env)
 				env.Params = nil
 			}
-		} else if sr.prog != nil {
-			env.Params = out.params
-			env.exec(sr.prog.arms[armIdx].code, sr.prog, backend, out)
-			env.Params = nil
 		} else if act := sr.actions[sr.tmpl.Arms[armIdx].Action]; act == nil {
 			env.Faults.BadTemplate.Add(1)
 		} else {
@@ -474,10 +476,6 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 	if sr.fused != nil {
 		if sr.fused.post != nil && !p.Drop {
 			sr.fused.post(env)
-		}
-	} else if sr.prog != nil {
-		if sr.prog.post != nil && !p.Drop {
-			env.exec(sr.prog.post, sr.prog, backend, out)
 		}
 	} else if sr.intStamp && !p.Drop {
 		env.intStamp(sr.intStageID)
@@ -514,7 +512,7 @@ func (sr *StageRuntime) runMatch(stmts []template.MatchStmt, env *Env, backend T
 
 // applyTable performs one table application: key/group construction,
 // backend lookup, and outcome recording. Both the interpreter and the
-// compiled executor funnel through this so lookup semantics (including the
+// fused executor funnel through this so lookup semantics (including the
 // skip-on-unreadable-key paths) cannot diverge between the two.
 func (e *Env) applyTable(t *template.Table, backend TableBackend, out *matchOutcome) {
 	e.applyTableWith(t, nil, nil, nil, backend, out)

@@ -147,15 +147,15 @@ func (t *TSP) ProcessBatchWith(stages []*StageRuntime, ps []*pkt.Packet, parser 
 // keyed by stage name, lowering each stage to fused closures (the default
 // executor).
 func BuildStageRuntimes(cfg *template.Config) (map[string]*StageRuntime, error) {
-	return BuildStageRuntimesMode(cfg, ExecFused)
+	return BuildStageRuntimesOpts(cfg, BuildOpts{})
 }
 
-// BuildStageRuntimesMode is BuildStageRuntimes with an explicit executor
-// mode.
-func BuildStageRuntimesMode(cfg *template.Config, mode ExecMode) (map[string]*StageRuntime, error) {
+// BuildStageRuntimesOpts constructs every stage runtime of a config with
+// full build options.
+func BuildStageRuntimesOpts(cfg *template.Config, opts BuildOpts) (map[string]*StageRuntime, error) {
 	out := make(map[string]*StageRuntime, len(cfg.Stages))
 	for name := range cfg.Stages {
-		sr, err := NewStageRuntimeMode(cfg, name, mode)
+		sr, err := NewStageRuntimeOpts(cfg, name, opts)
 		if err != nil {
 			return nil, err
 		}
