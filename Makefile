@@ -145,7 +145,7 @@ drop-soak:
 # Differential fuzz: fused executor vs the interpreter oracle on the
 # full switch.
 fuzz-diff:
-	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzFusedVsInterp -fuzztime 30s
+	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzCompiledVsInterp -fuzztime 30s
 
 # Capture CPU and heap profiles of the fused hot path. The equivalent
 # for a live switch is `ipbm -cpuprofile cpu.out -memprofile mem.out`;

@@ -111,12 +111,12 @@ func comparePacket(aName, bName string, pa, pb *pkt.Packet) error {
 	return nil
 }
 
-// FuzzFusedVsInterp feeds arbitrary packet bytes through the fused and
-// interpreter executors and demands bit-identical outcomes — packet
-// bytes, metadata, verdict and egress port — including the fault
-// counters (faults are part of the observable contract). Under plain
-// `go test` the seed corpus runs as regression tests.
-func FuzzFusedVsInterp(f *testing.F) {
+// FuzzCompiledVsInterp feeds arbitrary packet bytes through the compiled
+// (fused-closure) and interpreter executors and demands bit-identical
+// outcomes — packet bytes, metadata, verdict and egress port — including
+// the fault counters (faults are part of the observable contract). Under
+// plain `go test` the seed corpus runs as regression tests.
+func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0, 0, 0, 0, 1}, uint8(1))
 	srv6, _ := pkt.Serialize(
